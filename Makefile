@@ -4,7 +4,7 @@ export PYTHONPATH := src
 # Coverage floor for `make coverage` (core + validate packages).
 COV_FLOOR ?= 75
 
-.PHONY: test test-slow validate validate-smoke fuzz coverage bench bench-scaling bench-worldgen bench-telemetry bench-report experiments trace-smoke clean-cache
+.PHONY: test test-slow validate validate-smoke fuzz coverage bench experiments trace-smoke clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -53,40 +53,10 @@ trace-smoke:
 	assert t['spans'], 'empty span tree'; \
 	print('trace-smoke ok:', m['cache'], m['pool'])"
 
+# One set of the layered benchmark (layerbench/README.md): every
+# workload in fresh interpreters, medians of the end-to-end metrics.
 bench:
-	$(PYTHON) benchmarks/run_bench.py
-
-# Serial vs --jobs {2,4} medians for the compiled-world/batched-traceroute
-# work; writes BENCH_PR5.json and fails on the scaling gates. SMOKE=1 is
-# the CI shape: fewer repeats, no full-scale fig2, machine-calibrated
-# gates recorded but not enforced.
-bench-scaling:
-	$(PYTHON) benchmarks/run_bench.py --pr5-only $(if $(SMOKE),--smoke)
-
-# Table-first worldgen suite: object-graph-first vs snapshot-hit cold
-# starts at scale=1.0, the fresh-interpreter cold-load budget, and the
-# serial-coverage regression check (BENCH_PR6.json) — then the
-# array-native suite: fresh generation speed and net-RSS vs the object
-# path, byte identity, and the scale=4.0 memory gate (BENCH_PR8.json).
-# Fails on either suite's gates. SMOKE=1 trims repeats and skips the
-# PR5-relative regression gate (calibrated on a specific box).
-bench-worldgen:
-	$(PYTHON) benchmarks/run_bench.py --pr6-only $(if $(SMOKE),--smoke)
-	$(PYTHON) benchmarks/run_bench.py --pr8-only $(if $(SMOKE),--smoke)
-
-# Full-telemetry overhead suite: campaign with metrics + sampler +
-# /metrics endpoint + sampling profiler on vs everything off, gated at
-# 5 % and on byte-identical output. Writes BENCH_PR7.json and
-# profile_folded.txt. SMOKE=1 trims repeats and marks the file so the
-# bench-trend gate ignores its timings.
-bench-telemetry:
-	$(PYTHON) benchmarks/run_bench.py --telemetry-only $(if $(SMOKE),--smoke)
-
-# Cross-PR benchmark trajectory over the committed BENCH_PR*.json files,
-# gated on the latest run vs the best prior medians. Writes
-# bench_trend.json for the CI artifact upload.
-bench-report:
-	$(PYTHON) -m repro.bench.trend --check --out bench_trend.json
+	$(PYTHON) layerbench/bench.py
 
 experiments:
 	$(PYTHON) -m repro.experiments all

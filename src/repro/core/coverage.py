@@ -23,7 +23,7 @@ from repro.inference.borders import OriginOracle
 from repro.inference.mapit import MapIt, MapItConfig
 from repro.measurement.records import TracerouteRecord
 from repro.measurement.traceroute import TraceRequest, TracerouteConfig, TracerouteEngine
-from repro.net.compiled import compile_world, compiled_enabled
+from repro.net.compiled import compile_world
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.platforms.ark import ArkVP
@@ -131,11 +131,10 @@ def coverage_analysis(
         all_paths.extend(paths)
 
     observed = {ip for path in all_paths for ip in path if ip is not None}
-    if compiled_enabled():
-        # Prefill the oracle's per-address caches for the whole corpus in
-        # one vectorized LPM pass — identical values to the trie walk, so
-        # this is invisible in results.
-        compile_world(internet).prime_oracle(oracle, observed)
+    # Prefill the oracle's per-address caches for the whole corpus in one
+    # vectorized LPM pass — identical values to the trie walk, so this is
+    # invisible in results.
+    compile_world(internet).prime_oracle(oracle, observed)
     ownership = MapIt(oracle, internet.graph, mapit_config).infer(all_paths).ownership
     resolver = alias_resolver if alias_resolver is not None else AliasResolver(internet)
     aliases = resolver.resolve(observed)
@@ -232,19 +231,18 @@ _VP_BLOCKS_PER_WORKER = 2
 def _coverage_block_unit(args: tuple) -> list[CoverageReport]:
     """Pool worker: one contiguous VP block against the memoized study.
 
-    The study config travels once per worker in the pool *context* (see
-    :func:`repro.core.pipeline.pool_world_setup`), so each task ships
-    only ``(vp_indices, alexa_count, max_prefixes)`` and the study
-    lookup here is a memo hit against the attached snapshot, not a
-    rebuild. Each VP still runs on its own derived stream, so the block
-    partitioning is invisible in the reports.
+    The study config travels once per worker as the pool *context*, and
+    the pool's ``build_study`` setup has already built (spawn) or
+    inherited (fork) the study, so each task ships only ``(vp_indices,
+    alexa_count, max_prefixes)`` and the lookup here is a memo hit. Each
+    VP still runs on its own derived stream, so the block partitioning
+    is invisible in the reports.
     """
     from repro.core.pipeline import build_study
     from repro.util.parallel import worker_context
 
     vp_indices, alexa_count, max_prefixes = args
-    study_config, _shared_handle = worker_context()
-    study = build_study(study_config)
+    study = build_study(worker_context())
     vps = study.ark_vps()
     return [
         vp_coverage_report(
@@ -262,15 +260,16 @@ def collect_coverage_reports(
 ) -> dict[str, CoverageReport]:
     """Per-VP coverage reports for every Ark VP, optionally fanned out.
 
-    The sweep is sharded by contiguous VP block: each worker attaches
-    the resident world snapshot once and runs a whole block of VPs
-    against it, so dispatch cost scales with the worker count rather
-    than the VP count. Results are keyed by VP label in Table 3 row
-    order whatever ``jobs`` is — blocks are contiguous slices and the
-    merge concatenates them in input order, so parallel, serial, and
-    any block size return equal reports record-for-record.
+    The sweep is sharded by contiguous VP block: each worker gets its
+    study once (fork inherits it, spawn rebuilds it from the config) and
+    runs a whole block of VPs against it, so dispatch cost scales with
+    the worker count rather than the VP count. Results are keyed by VP
+    label in Table 3 row order whatever ``jobs`` is — blocks are
+    contiguous slices and the merge concatenates them in input order, so
+    parallel, serial, and any block size return equal reports
+    record-for-record.
     """
-    from repro.core.pipeline import pool_world_setup, shared_world_export
+    from repro.core.pipeline import build_study
     from repro.util.parallel import effective_jobs, partition
 
     vps = study.ark_vps()
@@ -283,20 +282,14 @@ def collect_coverage_reports(
     _log.info(
         "collecting coverage reports for %d VPs in %d blocks", len(vps), len(units)
     )
-    export = shared_world_export(study, jobs)
-    try:
-        context = (study.config, export.handle if export is not None else None)
-        with span("coverage_sweep", vps=len(vps), blocks=len(units)):
-            block_reports = parallel_map(
-                _coverage_block_unit,
-                units,
-                jobs=jobs,
-                context=context,
-                setup=pool_world_setup,
-            )
-    finally:
-        if export is not None:
-            export.close(unlink=True)
+    with span("coverage_sweep", vps=len(vps), blocks=len(units)):
+        block_reports = parallel_map(
+            _coverage_block_unit,
+            units,
+            jobs=jobs,
+            context=study.config,
+            setup=build_study,
+        )
     reports = [report for block in block_reports for report in block]
     return {vp.label: report for vp, report in zip(vps, reports)}
 

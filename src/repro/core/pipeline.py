@@ -258,63 +258,3 @@ def build_study(config: StudyConfig | None = None) -> Study:
 def clear_study_cache() -> None:
     """Drop memoized studies (tests use this to control memory)."""
     _STUDY_CACHE.clear()
-
-
-def pool_world_setup(context: tuple) -> None:
-    """``parallel_map`` worker setup for per-VP fan-outs.
-
-    ``context`` is ``(study_config, shared_handle_or_None)``. Attaching
-    the shared compiled world first (when the parent exported one, i.e.
-    under spawn) seeds the compile cache, so the study build that follows
-    reuses the parent's read-only pages instead of recompiling. The
-    handle is either a :class:`repro.net.compiled.SnapshotHandle`
-    (worker ``mmap``s the persisted snapshot file — the kernel shares
-    one resident copy pool-wide) or a legacy shared-memory
-    :class:`repro.net.compiled.SharedWorldHandle`. Either way the study
-    is built (or fork-inherited via the memo) exactly once per worker;
-    every unit then hits the memo. An attach failure (e.g. the snapshot
-    was evicted mid-run) degrades to a plain rebuild, never an error.
-    """
-    study_config, shared_handle = context
-    if shared_handle is not None:
-        from repro.net.compiled import SnapshotHandle, attach_shared, attach_snapshot
-
-        if isinstance(shared_handle, SnapshotHandle):
-            attach_snapshot(shared_handle)
-        else:
-            attach_shared(shared_handle)
-    build_study(study_config)
-
-
-def shared_world_export(study: Study, jobs: int | None):
-    """Export ``study``'s compiled world to shared memory when useful.
-
-    Preferred transport is the persisted memory-mapped snapshot: when
-    one exists (table-first worlds persist on compile) the export is a
-    :class:`repro.net.compiled.SnapshotExport` wrapping a picklable
-    ``SnapshotHandle`` — zero-copy, nothing to unlink, workers share the
-    kernel's page cache. Falls back to copying the arrays into
-    ``multiprocessing.shared_memory``
-    (:class:`repro.net.compiled.SharedWorldExport`). Either way the
-    caller keeps the export alive for the pool's lifetime and calls
-    ``close(unlink=True)`` after. Returns ``None`` when fan-out is
-    serial, workers fork (copy-on-write already shares the pages), or
-    compiled worlds are disabled.
-    """
-    from repro.net.compiled import (
-        SnapshotExport,
-        compile_world,
-        compiled_enabled,
-        snapshot_handle,
-    )
-    from repro.util.parallel import pool_start_method, resolve_jobs
-
-    if resolve_jobs(jobs) <= 1 or not compiled_enabled():
-        return None
-    if pool_start_method() == "fork":
-        return None
-    world = compile_world(study.internet)
-    handle = snapshot_handle(world)
-    if handle is not None:
-        return SnapshotExport(handle=handle)
-    return world.export_shared()

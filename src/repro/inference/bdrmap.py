@@ -188,16 +188,16 @@ def run_bdrmap_for_vp(
 def _bdrmap_unit(args: tuple) -> BdrmapResult:
     """Pool worker: one VP inventory against the worker's memoized study.
 
-    The study config rides in the pool context (one ship per worker, see
-    :func:`repro.core.pipeline.pool_world_setup`); tasks carry only
-    ``(vp_index, max_prefixes)`` and this lookup is a memo hit.
+    The study config rides in the pool context (one ship per worker, and
+    the pool's ``build_study`` setup already built or inherited the
+    study); tasks carry only ``(vp_index, max_prefixes)`` and this lookup
+    is a memo hit.
     """
     from repro.core.pipeline import build_study
     from repro.util.parallel import worker_context
 
     vp_index, max_prefixes = args
-    study_config, _shared_handle = worker_context()
-    study = build_study(study_config)
+    study = build_study(worker_context())
     vp = study.ark_vps()[vp_index]
     return run_bdrmap_for_vp(study, vp, max_prefixes=max_prefixes)
 
@@ -210,25 +210,19 @@ def bdrmap_all_vps(
     """Border inventories for every Ark VP, optionally fanned out across
     processes. Results come back in Table 3 row order whatever ``jobs``
     is, identical to the serial walk record-for-record. Workers inherit
-    the built world by fork (or attach the shared-memory export under
+    the built world by fork (or rebuild it once from the config under
     spawn) rather than rebuilding it per task."""
-    from repro.core.pipeline import pool_world_setup, shared_world_export
+    from repro.core.pipeline import build_study
 
     vps = study.ark_vps()
     units = [(index, max_prefixes) for index in range(len(vps))]
-    export = shared_world_export(study, jobs)
-    try:
-        context = (study.config, export.handle if export is not None else None)
-        return parallel_map(
-            _bdrmap_unit,
-            units,
-            jobs=jobs,
-            context=context,
-            setup=pool_world_setup,
-        )
-    finally:
-        if export is not None:
-            export.close(unlink=True)
+    return parallel_map(
+        _bdrmap_unit,
+        units,
+        jobs=jobs,
+        context=study.config,
+        setup=build_study,
+    )
 
 
 def org_relationship(

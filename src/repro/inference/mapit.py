@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.inference.borders import OriginOracle
-from repro.net.compiled import compiled_enabled
 from repro.obs.log import get_logger
 from repro.topology.asgraph import ASGraph
 
@@ -230,11 +229,7 @@ class MapIt:
         propose = self._propose
         max_flips = self._config.max_flips_per_interface
         for passes in range(1, self._config.max_passes + 1):
-            if (
-                dirty is None
-                and len(interfaces) >= _VECTOR_MIN_INTERFACES
-                and compiled_enabled()
-            ):
+            if dirty is None and len(interfaces) >= _VECTOR_MIN_INTERFACES:
                 # First pass examines every interface — the majority
                 # tallies vectorize; the rule follow-ups (rare) stay in
                 # Python. Identical proposals to the scalar walk.

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from repro.measurement.records import TraceHop, TracerouteRecord
-from repro.net.compiled import compiled_enabled
 from repro.obs import metrics
 from repro.routing.forwarding import Forwarder, ForwardingPath
 from repro.topology.geo import propagation_delay_by_code_ms
@@ -36,7 +35,6 @@ from repro.util.rng import derive_random
 
 _BATCH_REQUESTS = metrics.counter("trace.batch.requests")
 _BATCH_CALLS = metrics.counter("trace.batch.calls")
-_BATCH_SCALAR_FALLBACK = metrics.counter("trace.batch.scalar_fallback")
 _TABLE_HITS = metrics.counter("trace.batch.render_table.hits")
 _TABLE_MISSES = metrics.counter("trace.batch.render_table.misses")
 _BATCH_WALL = metrics.histogram("trace.batch.block_wall_s")
@@ -247,22 +245,11 @@ class TracerouteEngine:
         precomputed once per interned path instead of once per trace,
         and every per-record binding is hoisted out of the loop. The
         first trace along a path builds its render table *while*
-        rendering, so cold sweeps pay no extra walk. ``REPRO_COMPILED=0``
-        routes every request through the scalar engine instead (the
-        debugging escape hatch).
+        rendering, so cold sweeps pay no extra walk.
         """
         _BATCH_CALLS.inc()
         _BATCH_REQUESTS.inc(len(requests))
         block_start = time.perf_counter()
-        if not compiled_enabled():
-            _BATCH_SCALAR_FALLBACK.inc(len(requests))
-            return [
-                self.trace(
-                    r.src_ip, r.src_asn, r.src_city, r.dst_ip, r.dst_asn,
-                    r.dst_city, r.timestamp_s, r.flow_key,
-                )
-                for r in requests
-            ]
         paths = self._forwarder.resolve_paths_batch(
             [(r.src_asn, r.src_city, r.dst_asn, r.dst_city, r.flow_key) for r in requests]
         )

@@ -7,9 +7,9 @@ longest-prefix-match origin lookups, AS-adjacency/relationship tests, and
 router-fabric interface walks. :class:`CompiledWorld` flattens exactly
 those into numpy arrays once per world and answers them with
 ``searchsorted`` and CSR slicing — vectorized for whole hop corpora at a
-time, and cheap to hand to worker processes.
+time.
 
-Three invariants the rest of the PR leans on:
+Two invariants the rest of the code leans on:
 
 * **agreement** — every compiled answer is *equal* to the object-graph
   answer (enforced by the ``compiled.world_agreement`` validate contract
@@ -17,35 +17,25 @@ Three invariants the rest of the PR leans on:
   into disjoint half-open intervals, so a binary search reproduces the
   trie's longest-match semantics bit for bit.
 * **one build per world** — :func:`compile_world` memoizes per world
-  digest, so parallel per-VP fan-out (fork *or* spawn) compiles once and
-  shares.
-* **shareable** — :meth:`CompiledWorld.export_shared` moves every array
-  into ``multiprocessing.shared_memory`` blocks; a picklable
-  :class:`SharedWorldHandle` lets spawn-started workers attach the same
-  pages instead of unpickling a copy of the world.
+  digest, so every consumer in a process shares one set of arrays.
+  Fork-started pool workers inherit that memo copy-on-write; spawn
+  workers rebuild their study once from its config and compile there.
 
-Since PR 6 worlds are *table-first* and since PR 8 generation is
-*array-native*: the generator streams straight into the recorder's
-numpy builders (:mod:`repro.topology.tables`), the object graph is a
-lazy facade nothing on the generate→compile→persist path ever
+Generation is *array-native*: the generator streams straight into the
+recorder's numpy builders (:mod:`repro.topology.tables`), the object
+graph is a lazy facade nothing on the generate→compile→persist path ever
 materializes, and :func:`compile_world` merely wraps the recorded
-arrays. The object-graph walk in :func:`compile_from_object_graph`
-survives as the cross-check path (``REPRO_TABLE_FIRST=0`` — facades
-materialize eagerly and the walk derives identical arrays) and as what
-the validate contract runs. Compiled worlds also persist as versioned memory-mapped ``.npz``
+arrays. The object-graph walk in :func:`compile_from_object_graph` is
+the reference implementation the validate contract and the golden-digest
+tests compare against, and the fallback for a world that carries no
+tables. Compiled worlds also persist as versioned memory-mapped ``.npz``
 snapshots in the artifact cache (:mod:`repro.net.snapshot`), keyed by
-world digest: a world builds once, cold-loads in milliseconds via
-``mmap``, and pool workers attach the same resident pages through a
-picklable :class:`SnapshotHandle` instead of rebuilding or copying.
-
-``REPRO_COMPILED=0`` disables the compiled fast paths everywhere (the
-escape hatch for debugging); consumers fall back to the object graph and
-produce identical results, just slower.
+world digest, so :func:`compiled_world_for` cold-loads a known world in
+milliseconds without generating it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,7 +54,6 @@ from repro.topology.tables import (
     KIND_CODES,
     REL_CODES as _REL_CODES,
     flatten_prefixes as _flatten_prefixes,
-    table_first_enabled,
 )
 from repro.util import artifact_cache
 
@@ -74,10 +63,7 @@ _BUILDS = metrics.counter("compiled.builds")
 _CACHE_HITS = metrics.counter("compiled.cache_hits")
 _TABLE_WRAPS = metrics.counter("compiled.table_wraps")
 _SNAPSHOT_LOADS = metrics.counter("compiled.snapshot_loads")
-_SNAPSHOT_ATTACHES = metrics.counter("compiled.snapshot_attaches")
 _BATCH_LOOKUPS = metrics.counter("compiled.batch_lookups")
-_SHM_EXPORTS = metrics.counter("compiled.shm_exports")
-_SHM_ATTACHES = metrics.counter("compiled.shm_attaches")
 
 #: Sentinel origin for "no announcement covers this address".
 NO_ORIGIN = -1
@@ -89,20 +75,13 @@ SNAPSHOT_KIND = "world-snapshot"
 DIGEST_INDEX_KIND = "world-digest"
 
 
-def compiled_enabled() -> bool:
-    """Whether the compiled fast paths are active (``REPRO_COMPILED=0`` off)."""
-    return os.environ.get("REPRO_COMPILED", "1").lower() not in (
-        "0", "false", "no", "off",
-    )
-
-
 @dataclass
 class CompiledWorld:
     """Read-only structure-of-arrays snapshot of one generated world.
 
     Every field is a numpy array (or a small python dict built from one),
-    so the whole snapshot can be exported to shared memory and re-attached
-    in another process without pickling the object graph.
+    so the whole snapshot persists as one ``.npz`` and memory-maps back
+    without pickling the object graph.
     """
 
     digest: str
@@ -141,10 +120,10 @@ class CompiledWorld:
     link_kind: np.ndarray  # int8 KIND_CODES code per link
 
     #: Lazy python-side index: ASN -> row in adj_asns (built on first use,
-    #: never shipped across processes).
+    #: never persisted).
     _asn_row: dict[int, int] | None = field(default=None, repr=False, compare=False)
     #: Lazy Interconnect views materialized from link rows on demand
-    #: (scalar consumers only; never shipped across processes).
+    #: (scalar consumers only; never persisted).
     _link_views: dict[int, Interconnect] | None = field(
         default=None, repr=False, compare=False
     )
@@ -330,7 +309,7 @@ class CompiledWorld:
         return len(fresh)
 
     # ------------------------------------------------------------------
-    # shared memory
+    # schema: every array field, in snapshot order
 
     _ARRAY_FIELDS: tuple[str, ...] = (
         "lpm_starts", "lpm_ends", "lpm_origins",
@@ -341,153 +320,9 @@ class CompiledWorld:
         "link_ids", "link_cols", "link_city", "link_kind",
     )
 
-    def export_shared(self) -> "SharedWorldExport":
-        """Copy every array into shared-memory blocks.
-
-        Returns a :class:`SharedWorldExport` whose picklable ``handle``
-        travels to spawn-started workers; the exporting process must keep
-        the export object alive for the pool's lifetime and call
-        ``close(unlink=True)`` afterwards.
-        """
-        from multiprocessing import shared_memory
-
-        _SHM_EXPORTS.inc()
-        blocks: list = []
-        specs: list[tuple[str, str, str, tuple[int, ...]]] = []
-        for name in self._ARRAY_FIELDS:
-            array: np.ndarray = getattr(self, name)
-            nbytes = max(1, array.nbytes)  # zero-length arrays still need a block
-            block = shared_memory.SharedMemory(create=True, size=nbytes)
-            view = np.ndarray(array.shape, dtype=array.dtype, buffer=block.buf)
-            view[...] = array
-            blocks.append(block)
-            specs.append((name, block.name, array.dtype.str, array.shape))
-        handle = SharedWorldHandle(digest=self.digest, seed=self.seed, specs=tuple(specs))
-        return SharedWorldExport(handle=handle, blocks=blocks)
-
-
-@dataclass(frozen=True)
-class SharedWorldHandle:
-    """Picklable descriptor of an exported snapshot (shm names + dtypes)."""
-
-    digest: str
-    seed: int
-    specs: tuple[tuple[str, str, str, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
-class SnapshotHandle:
-    """Picklable pointer to a persisted snapshot file.
-
-    The zero-copy sibling of :class:`SharedWorldHandle` for worlds that
-    are already on disk: workers ``mmap`` the same file, so the kernel
-    page cache shares one resident copy across the whole pool and
-    nothing is copied or re-exported per worker.
-    """
-
-    digest: str
-    path: str
-
-
-def snapshot_handle(world: CompiledWorld) -> SnapshotHandle | None:
-    """Handle for shipping ``world`` to pool workers via its snapshot file.
-
-    Persists the snapshot if it isn't on disk yet; None when persistence
-    is unavailable (cache or table-first disabled, write failure).
-    """
-    path = persist_snapshot(world)
-    if path is None:
-        return None
-    return SnapshotHandle(digest=world.digest, path=str(path))
-
-
-def attach_snapshot(handle: SnapshotHandle) -> CompiledWorld | None:
-    """Worker-side: map the snapshot behind ``handle`` into this process.
-
-    Registers the world in the compile cache so the worker's
-    ``build_study`` reuses the mapped tables instead of recompiling.
-    Returns None (after a warning) when the file vanished or is stale —
-    the worker then just compiles from its own generated world, so an
-    eviction mid-run degrades to slower, never to wrong.
-    """
-    cached = _COMPILE_CACHE.get(handle.digest)
-    if cached is not None:
-        return cached
-    loaded = snapshot.load_arrays(Path(handle.path), expect_digest=handle.digest)
-    world = None
-    if loaded is not None:
-        world = _world_from_arrays(handle.digest, loaded["seed"], loaded["arrays"])
-    if world is None:
-        _log.warning(
-            "could not attach world snapshot %s; worker will rebuild", handle.path
-        )
-        return None
-    _SNAPSHOT_ATTACHES.inc()
-    _COMPILE_CACHE[handle.digest] = world
-    return world
-
-
-@dataclass
-class SnapshotExport:
-    """Parent-side counterpart of :class:`SnapshotHandle`.
-
-    Mirrors :class:`SharedWorldExport`'s tiny lifecycle API so pool code
-    treats both transports uniformly; ``close`` is a no-op because the
-    snapshot file is a durable cache entry, not a per-pool resource.
-    """
-
-    handle: SnapshotHandle
-
-    def close(self, unlink: bool = True) -> None:
-        pass
-
-
-@dataclass
-class SharedWorldExport:
-    """Parent-side ownership of the exported blocks."""
-
-    handle: SharedWorldHandle
-    blocks: list
-
-    def close(self, unlink: bool = True) -> None:
-        for block in self.blocks:
-            block.close()
-            if unlink:
-                try:
-                    block.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
-        self.blocks = []
-
-
-def attach_shared(handle: SharedWorldHandle) -> CompiledWorld:
-    """Attach a :class:`CompiledWorld` to another process's shared arrays.
-
-    The attached world is registered in the per-process compile cache
-    under its digest, so a later :func:`compile_world` for the same world
-    reuses the shared pages instead of recompiling. The shared-memory
-    blocks are kept referenced by the arrays themselves (numpy holds the
-    buffer) plus a module-level registry so they outlive the call.
-    """
-    from multiprocessing import shared_memory
-
-    _SHM_ATTACHES.inc()
-    arrays: dict[str, np.ndarray] = {}
-    blocks = []
-    for name, shm_name, dtype_str, shape in handle.specs:
-        block = shared_memory.SharedMemory(name=shm_name)
-        blocks.append(block)
-        arrays[name] = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=block.buf)
-    world = CompiledWorld(digest=handle.digest, seed=handle.seed, **arrays)
-    _ATTACHED_BLOCKS.setdefault(handle.digest, []).extend(blocks)
-    _COMPILE_CACHE[handle.digest] = world
-    return world
-
 
 #: digest -> CompiledWorld, one per process.
 _COMPILE_CACHE: dict[str, CompiledWorld] = {}
-#: digest -> attached SharedMemory blocks (kept alive for the process).
-_ATTACHED_BLOCKS: dict[str, list] = {}
 
 
 def world_digest(internet: Internet) -> str:
@@ -529,10 +364,10 @@ def _world_from_arrays(
 def persist_snapshot(world: CompiledWorld) -> Path | None:
     """Write ``world`` to its cache slot (no-op when already present).
 
-    Returns the snapshot path, or None when persistence is off
-    (``REPRO_CACHE=0`` / ``REPRO_TABLE_FIRST=0``) or the write failed.
+    Returns the snapshot path, or None when the artifact cache is off
+    (``REPRO_CACHE=0``) or the write failed.
     """
-    if not (table_first_enabled() and artifact_cache.enabled()):
+    if not artifact_cache.enabled():
         return None
     path = snapshot_path(world.digest)
     if path.exists():
@@ -552,7 +387,7 @@ def persist_snapshot(world: CompiledWorld) -> Path | None:
 
 def load_snapshot_world(digest: str) -> CompiledWorld | None:
     """Memory-map a persisted snapshot for ``digest``, or None on a miss."""
-    if not (table_first_enabled() and artifact_cache.enabled()):
+    if not artifact_cache.enabled():
         return None
     path = snapshot_path(digest)
     loaded = snapshot.load_arrays(path, expect_digest=digest)
@@ -570,10 +405,9 @@ def load_snapshot_world(digest: str) -> CompiledWorld | None:
 def compile_world(internet: Internet) -> CompiledWorld:
     """Compile (or fetch the memoized) snapshot for one world.
 
-    Table-first resolution order: the arrays the generator's recorder
-    already emitted, else a persisted memory-mapped snapshot, else the
-    object-graph derivation (which is the *only* path when
-    ``REPRO_TABLE_FIRST=0``). Whichever path built it, the world is
+    Resolution order: the arrays the generator's recorder already
+    emitted, else a persisted memory-mapped snapshot, else the
+    object-graph derivation. Whichever path built it, the world is
     persisted so the next cold process loads it in milliseconds.
     """
     digest = world_digest(internet)
@@ -582,14 +416,12 @@ def compile_world(internet: Internet) -> CompiledWorld:
         _CACHE_HITS.inc()
         return cached
     world: CompiledWorld | None = None
-    if table_first_enabled():
-        tables = getattr(internet, "tables", None)
-        if tables is not None:
-            world = _world_from_arrays(digest, internet.seed, tables)
-            if world is not None:
-                _TABLE_WRAPS.inc()
-        if world is None:
-            world = load_snapshot_world(digest)
+    if internet.tables is not None:
+        world = _world_from_arrays(digest, internet.seed, internet.tables)
+        if world is not None:
+            _TABLE_WRAPS.inc()
+    if world is None:
+        world = load_snapshot_world(digest)
     if world is None:
         world = _compile(internet, digest)
     persist_snapshot(world)
@@ -598,11 +430,11 @@ def compile_world(internet: Internet) -> CompiledWorld:
 
 
 def compile_from_object_graph(internet: Internet) -> CompiledWorld:
-    """Derive the tables by walking the object graph (the PR-5 path).
+    """Derive the tables by walking the object graph.
 
     Not memoized and never persisted: this is the reference
     implementation the ``compiled.world_agreement`` contract and the
-    golden-digest tests compare the table-first builder against.
+    golden-digest tests compare the recorder's tables against.
     """
     return _compile(internet, world_digest(internet))
 
@@ -616,9 +448,8 @@ def compiled_world_for(config) -> CompiledWorld:
     snapshot, stale format) is the world generated — and then persisted
     so the next cold process takes the fast path.
     """
-    use_cache = table_first_enabled() and artifact_cache.enabled()
     index_key = None
-    if use_cache:
+    if artifact_cache.enabled():
         index_key = artifact_cache.artifact_key(DIGEST_INDEX_KIND, config)
         digest = artifact_cache.load(DIGEST_INDEX_KIND, index_key)
         if isinstance(digest, str):
@@ -633,7 +464,7 @@ def compiled_world_for(config) -> CompiledWorld:
     from repro.topology.generator import generate_internet
 
     world = compile_world(generate_internet(config))
-    if use_cache and index_key is not None:
+    if index_key is not None:
         artifact_cache.store(DIGEST_INDEX_KIND, index_key, world.digest)
     return world
 
@@ -641,10 +472,6 @@ def compiled_world_for(config) -> CompiledWorld:
 def clear_compile_cache() -> None:
     """Drop memoized snapshots (tests use this to control memory)."""
     _COMPILE_CACHE.clear()
-    for blocks in _ATTACHED_BLOCKS.values():
-        for block in blocks:
-            block.close()
-    _ATTACHED_BLOCKS.clear()
 
 
 def _compile(internet: Internet, digest: str) -> CompiledWorld:

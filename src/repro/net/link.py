@@ -219,10 +219,9 @@ def provision_links(internet: Internet, config: ProvisioningConfig) -> LinkNetwo
     Parallel links within a group share the same parameters; directives
     match by org pair (any sibling ASN combination) and optional metro.
 
-    On table-first worlds the links come from the compiled link table as
-    lazy :class:`Interconnect` views rather than from the fabric's object
-    index — same dataclass, same values, same link-id order, so the RNG
-    draw sequence and every ``LinkParams`` are identical either way.
+    The links come from the compiled link table as lazy
+    :class:`Interconnect` views in link-id order, so the fabric's object
+    index never has to materialize.
     """
     rng = derive_random(config.seed, "provisioning")
     directive_index: dict[tuple[str, str], CongestionDirective] = {}
@@ -230,13 +229,9 @@ def provision_links(internet: Internet, config: ProvisioningConfig) -> LinkNetwo
         key = tuple(sorted((directive.org_a, directive.org_b)))
         directive_index[key] = directive  # type: ignore[index]
 
-    links: list[Interconnect]
-    if getattr(internet, "tables", None) is not None:
-        from repro.net.compiled import compile_world
+    from repro.net.compiled import compile_world
 
-        links = compile_world(internet).interconnect_views()
-    else:
-        links = internet.fabric.interconnects()
+    links = compile_world(internet).interconnect_views()
 
     params: dict[int, LinkParams] = {}
     group_cache: dict[int, LinkParams] = {}

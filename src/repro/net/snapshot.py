@@ -9,8 +9,7 @@ the mmap request for ``.npz`` (it only maps bare ``.npy`` files), so
 itself — uncompressed members are contiguous byte ranges — and hands the
 ranges to :class:`numpy.memmap`. Cold-loading a scale-1.0 world this way
 costs milliseconds and a few pages of touched memory; the OS shares the
-cached pages between every process that maps the same file, which is how
-pool workers attach a resident snapshot with no per-worker rebuild.
+cached pages between every process that maps the same file.
 
 The format is versioned: a ``__meta__`` member records
 :data:`SNAPSHOT_FORMAT_VERSION`, the world digest, and the seed. A

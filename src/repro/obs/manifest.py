@@ -27,8 +27,11 @@ TRACE_SCHEMA = "repro.obs/trace/v1"
 
 
 def resource_usage() -> dict[str, object]:
-    """Peak RSS and CPU time of this process, from ``getrusage``.
+    """Peak RSS and CPU time of this process and its reaped children.
 
+    From ``getrusage``: the peak is the larger of ``RUSAGE_SELF`` and
+    ``RUSAGE_CHILDREN`` (the biggest pool worker under ``--jobs``, since
+    workers peak far above the parent), the CPU times are their sums.
     ``ru_maxrss`` is kilobytes on Linux (bytes on macOS — normalized
     here by assuming kB, which is right for the CI/runtime platform).
     Independent of the metrics registry so the manifest records it even
@@ -37,11 +40,12 @@ def resource_usage() -> dict[str, object]:
     try:
         import resource
 
-        usage = resource.getrusage(resource.RUSAGE_SELF)
+        own = resource.getrusage(resource.RUSAGE_SELF)
+        children = resource.getrusage(resource.RUSAGE_CHILDREN)
         return {
-            "peak_rss_bytes": int(usage.ru_maxrss) * 1024,
-            "ru_utime_s": round(usage.ru_utime, 3),
-            "ru_stime_s": round(usage.ru_stime, 3),
+            "peak_rss_bytes": max(own.ru_maxrss, children.ru_maxrss) * 1024,
+            "ru_utime_s": round(own.ru_utime + children.ru_utime, 3),
+            "ru_stime_s": round(own.ru_stime + children.ru_stime, 3),
         }
     except Exception:  # pragma: no cover - platforms without getrusage
         return {"peak_rss_bytes": None, "ru_utime_s": None, "ru_stime_s": None}

@@ -7,8 +7,7 @@ polls ``sys._current_frames()`` for the target thread's stack at
 ``REPRO_PROFILE_HZ`` (default ~100 Hz, machine-scaled — see
 :func:`default_hz`) and counts collapsed stacks. The
 measured code runs unmodified — the only cost is the GIL bounce of the
-sampling thread, which the telemetry-overhead bench gates at ≤5 % for
-the *whole* telemetry stack.
+sampling thread.
 
 Output is the collapsed-stack ("folded") format flamegraph tooling
 eats: one ``frame;frame;frame count`` line per distinct stack, written
@@ -46,8 +45,8 @@ def default_hz() -> float:
     The default is ~100 Hz, but on a single-core machine every sampler
     wakeup *must* preempt the measured thread (there is nowhere else to
     run), and the context switch + GIL handoff per wake costs real wall
-    time — enough to blow the ≤5 % telemetry budget on its own. There
-    the default drops to 25 Hz; the env var overrides either way.
+    time — several percent of the run on its own. There the default
+    drops to 25 Hz; the env var overrides either way.
     """
     raw = os.environ.get(_ENV_HZ, "").strip()
     if raw:
@@ -60,7 +59,7 @@ def default_hz() -> float:
 
 #: id(code) -> (code, label). Memoizing keeps the per-sample cost to
 #: dict lookups — Path parsing and string formatting at 100 Hz across
-#: deep stacks is exactly the overhead the ≤5 % gate forbids. The cache
+#: deep stacks would cost more than the sampling itself. The cache
 #: holds the code object itself so its id can never be reused.
 _label_cache: dict[int, tuple[object, str]] = {}
 
@@ -80,7 +79,10 @@ class SamplingProfiler:
     ``start()`` targets the calling thread by default (the measurement
     loop); the sampler thread never touches it beyond reading its frame
     objects, so the profiled run's results are byte-identical to an
-    unprofiled run.
+    unprofiled run. The target is resolved to its :class:`threading.Thread`
+    up front: CPython reuses the idents of joined threads, so the sampler
+    thread itself may carry a dead target's ident, and only the
+    ``Thread`` object knows that the target is gone.
     """
 
     def __init__(self, hz: float | None = None, max_depth: int = 128) -> None:
@@ -90,7 +92,7 @@ class SamplingProfiler:
         self.missed = 0
         self._counts: dict[tuple[str, ...], int] = {}
         self._span_counts: dict[str, int] = {}
-        self._target: int | None = None
+        self._target: threading.Thread | None = None
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._started_monotonic: float | None = None
@@ -99,7 +101,11 @@ class SamplingProfiler:
     # -- sampling ---------------------------------------------------------
 
     def _sample(self) -> None:
-        frame = sys._current_frames().get(self._target)
+        target = self._target
+        if target is None or not target.is_alive():
+            self.missed += 1
+            return
+        frame = sys._current_frames().get(target.ident)
         if frame is None:
             self.missed += 1
             return
@@ -135,7 +141,12 @@ class SamplingProfiler:
     def start(self, thread_id: int | None = None) -> "SamplingProfiler":
         if self.running:
             return self
-        self._target = threading.get_ident() if thread_id is None else thread_id
+        if thread_id is None:
+            self._target = threading.current_thread()
+        else:
+            self._target = next(
+                (t for t in threading.enumerate() if t.ident == thread_id), None
+            )
         self._stop.clear()
         self._started_monotonic = time.monotonic()
         self._thread = threading.Thread(

@@ -56,7 +56,6 @@ from repro.topology.tables import (
     PREFIX_INFRA,
     PREFIX_IXP,
     WorldTableRecorder,
-    table_first_enabled,
 )
 from repro.util.ip import parse_ip
 from repro.util.rng import derive_random
@@ -347,15 +346,13 @@ class _Builder:
                 "cpu_s": time.process_time() - cpu0,
             }
 
-        tables = None
-        if table_first_enabled():
-            wall0 = time.perf_counter()
-            cpu0 = time.process_time()
-            tables = self.recorder.finalize()
-            phase_stats["finalize"] = {
-                "wall_s": time.perf_counter() - wall0,
-                "cpu_s": time.process_time() - cpu0,
-            }
+        wall0 = time.perf_counter()
+        cpu0 = time.process_time()
+        tables = self.recorder.finalize()
+        phase_stats["finalize"] = {
+            "wall_s": time.perf_counter() - wall0,
+            "cpu_s": time.process_time() - cpu0,
+        }
 
         stats = {
             "phases": phase_stats,
@@ -371,7 +368,7 @@ class _Builder:
         for name, timing in phase_stats.items():
             metrics.gauge(f"worldgen.phase.{name}.wall_s").set(timing["wall_s"])
 
-        internet = Internet(
+        return Internet(
             seed=self.config.seed,
             orgs=self.orgs,
             ixps=self.ixps,
@@ -380,12 +377,6 @@ class _Builder:
             tables=tables,
             generation_stats=stats,
         )
-        if tables is None:
-            # Escape hatch (REPRO_TABLE_FIRST=0): no compiled tables, so
-            # eagerly build the object graph — compile_world then derives
-            # its arrays by walking objects, the independent cross-check.
-            internet.materialize()
-        return internet
 
     # ------------------------------------------------------------------
     # scaffold primitives (what the object graph used to answer)

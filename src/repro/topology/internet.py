@@ -10,7 +10,7 @@ deliberately keeps *two* views of address ownership:
 * :meth:`true_owner_asn` — ground truth from the router fabric, reserved
   for validation and never passed to inference code.
 
-Since PR 8 the object graph is a *facade*: generation is array-native
+The object graph is a *facade*: generation is array-native
 (:mod:`repro.topology.tables`), and :attr:`graph` / :attr:`fabric` /
 :attr:`prefix_table` / the prefix dicts materialize lazily from the
 recorded event streams on first access. Snapshot persistence,
@@ -33,11 +33,9 @@ from repro.topology.routers import Interconnect, RouterFabric
 class Internet:
     """All topology state for one generated Internet instance.
 
-    Constructed either from a :class:`~repro.topology.tables.WorldTableRecorder`
-    (``meta``, the array-native path — object views materialize lazily)
-    or from pre-built objects (``graph``/``fabric``/... — tests and the
-    ``REPRO_TABLE_FIRST=0`` escape hatch, where the generator eagerly
-    materializes before returning).
+    Built only by the generator, from its
+    :class:`~repro.topology.tables.WorldTableRecorder` (``meta``) and the
+    arrays it finalized (``tables``); object views materialize lazily.
     """
 
     def __init__(
@@ -47,38 +45,27 @@ class Internet:
         orgs: "OrgMap",
         ixps: IXPRegistry,
         rdns: ReverseDNS,
-        meta=None,
-        tables: dict | None = None,
-        graph: ASGraph | None = None,
-        fabric: RouterFabric | None = None,
-        prefix_table: PrefixTable | None = None,
-        client_prefixes: dict[int, list[Prefix]] | None = None,
-        infra_prefixes: dict[int, list[Prefix]] | None = None,
+        meta,
+        tables: dict,
         generation_stats: dict | None = None,
     ) -> None:
         self.seed = seed
         self.orgs = orgs
         self.ixps = ixps
         self.rdns = rdns
-        #: Table-first compiled arrays emitted by the generator's recorder
-        #: (None when REPRO_TABLE_FIRST=0 asks for the object-walk path).
-        #: :func:`repro.net.compiled.compile_world` wraps these directly.
-        self.tables = tables
+        #: Compiled arrays emitted by the generator's recorder, which
+        #: :func:`repro.net.compiled.compile_world` wraps directly (a world
+        #: without them compiles from its snapshot or the object graph).
+        self.tables: dict | None = tables
         #: Per-phase wall/CPU and peak-RSS of the generation run that
-        #: built this world (empty for hand-assembled instances).
+        #: built this world.
         self.generation_stats = generation_stats or {}
         self._meta = meta
-        self._graph = graph
-        self._fabric = fabric
-        self._prefix_table = prefix_table
-        self._client_prefixes = client_prefixes
-        self._infra_prefixes = infra_prefixes
-        if meta is None and (
-            graph is None or fabric is None or prefix_table is None
-        ):
-            raise ValueError(
-                "Internet needs either recorder meta or pre-built objects"
-            )
+        self._graph: ASGraph | None = None
+        self._fabric: RouterFabric | None = None
+        self._prefix_table: PrefixTable | None = None
+        self._client_prefixes: dict[int, list[Prefix]] | None = None
+        self._infra_prefixes: dict[int, list[Prefix]] | None = None
 
     def __repr__(self) -> str:  # keep logs small; the tables aren't repr-able
         return f"Internet(seed={self.seed}, ases={self.summary()['ases']})"
@@ -201,21 +188,12 @@ class Internet:
     def summary(self) -> dict[str, int]:
         """Headline sizes, useful in logs and docs.
 
-        Computed from the recorded tables when available, so taking a
-        world digest never forces the object facade to materialize. The
-        object-graph counts are identical by construction (and the
-        ``compiled.world_agreement`` contract keeps them honest).
+        Computed from the recorder, so taking a world digest never forces
+        the object facade to materialize. The object-graph counts are
+        identical by construction (and the ``compiled.world_agreement``
+        contract keeps them honest).
         """
-        if self._meta is not None:
-            base = self._meta.counts()
-        else:
-            base = {
-                "ases": len(self._graph),
-                "as_edges": self._graph.edge_count(),
-                "routers": self._fabric.router_count(),
-                "interconnects": self._fabric.interconnect_count(),
-                "prefixes": len(self._prefix_table),
-            }
+        base = self._meta.counts()
         base["ixps"] = len(self.ixps)
         base["orgs"] = len(self.orgs)
         return base

@@ -28,15 +28,11 @@ hash both paths. No RNG draw is touched either way.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.topology.addressing import Prefix, PrefixTable
 from repro.topology.asgraph import AS, ASGraph, ASRole, Relationship
 from repro.topology.routers import InterconnectKind, RouterFabric, RouterRole
-
-_OFF_VALUES = ("0", "false", "no", "off")
 
 #: Fixed-width dtype for metro codes in the link table ("nyc", "dfw", ...).
 CITY_DTYPE = "<U4"
@@ -67,23 +63,6 @@ CODE_OF_ROUTER_ROLE = {role: code for code, role in enumerate(ROUTER_ROLE_CODES)
 
 #: Prefix-kind codes in the recorder's prefix log.
 PREFIX_CLIENT, PREFIX_INFRA, PREFIX_IXP = 0, 1, 2
-
-
-def table_first_enabled() -> bool:
-    """Whether worlds are table-first (``REPRO_TABLE_FIRST=0`` disables).
-
-    Also off when the compiled fast paths themselves are disabled
-    (``REPRO_COMPILED=0``): without a compiled-world consumer there is
-    nothing for the recorder to feed. Generation is array-native either
-    way; with table-first off the world eagerly materializes its object
-    graph and carries no ``tables``, so :func:`repro.net.compiled.compile_world`
-    takes the object-walk path — the cross-check.
-    """
-    env = os.environ
-    return (
-        env.get("REPRO_TABLE_FIRST", "1").lower() not in _OFF_VALUES
-        and env.get("REPRO_COMPILED", "1").lower() not in _OFF_VALUES
-    )
 
 
 class TableBuilder:

@@ -223,7 +223,7 @@ def _worker_init(
         obs_metrics.set_enabled(metrics_enabled)
     obs_metrics.reset()
     if setup is not None:
-        # Per-worker one-time setup (build/attach the study world) so the
+        # Per-worker one-time setup (e.g. build the study world) so the
         # cost is paid once per process, not once per unit.
         setup(context)
 
@@ -233,7 +233,7 @@ def pool_start_method() -> str:
 
     Fork shares the parent's built topologies copy-on-write and is the
     default wherever available; ``REPRO_POOL_START`` overrides it (e.g.
-    ``REPRO_POOL_START=spawn`` to exercise the shared-memory world path
+    ``REPRO_POOL_START=spawn`` to exercise the per-worker world rebuild
     on a fork platform).
     """
     methods = multiprocessing.get_all_start_methods()
@@ -263,9 +263,7 @@ def _observed_unit(
     independent of scheduling. Worker-stats totals are cumulative per
     process (keyed by pid on the way back), so the parent keeps the last
     value per pid and sums across pids. The worker's high-water RSS rides
-    along the same way — after the attach-path refactor a worker holding
-    a memory-mapped world should idle near the interpreter floor, and
-    ``pool_stats()["worker_peak_rss_mb"]`` is where that claim is checked.
+    along the same way and surfaces as ``pool_stats()["worker_peak_rss_mb"]``.
     """
     if observe:
         obs_metrics.reset()
@@ -375,8 +373,8 @@ def parallel_map(
     work = list(items)
     requested = resolve_jobs(jobs)
     # Clamp to the machine: oversubscribed CPU-bound workers only add
-    # fork/pickle overhead (BENCH_PR1's fig2_full_jobs4 ran *slower* than
-    # serial on one core). The clamp is recorded in pool_stats() and can
+    # fork/pickle overhead (fig2 with --jobs 4 ran *slower* than serial
+    # on one core). The clamp is recorded in pool_stats() and can
     # be disabled with REPRO_POOL_OVERSUBSCRIBE=1. Results are unaffected
     # either way — worker count never changes output, only wall clock.
     limit = _cpu_limit()

@@ -5,7 +5,7 @@ every query it answers must equal the object-graph answer exactly (the
 ``compiled.world_agreement`` validate contract enforces the same thing on
 full-scale worlds at validate time). These tests cover the tiny world
 exhaustively — every prefix edge, every AS row, every router — plus the
-shared-memory export/attach round trip and the oracle priming fast path.
+oracle priming fast path.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ import pytest
 from repro.inference.borders import OriginOracle
 from repro.net.compiled import (
     NO_ORIGIN,
-    attach_shared,
-    clear_compile_cache,
     compile_world,
-    compiled_enabled,
     world_digest,
 )
 from repro.topology.generator import InternetConfig, generate_internet
@@ -134,47 +131,6 @@ class TestCompileCache:
     def test_digest_distinguishes_worlds(self, tiny_internet):
         other = generate_internet(InternetConfig(seed=8, n_stub=60, n_transit=6))
         assert world_digest(other) != world_digest(tiny_internet)
-
-    def test_enabled_by_default_with_escape_hatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        assert compiled_enabled()
-        monkeypatch.setenv("REPRO_COMPILED", "0")
-        assert not compiled_enabled()
-
-
-class TestSharedMemoryRoundTrip:
-    def test_export_attach_arrays_equal(self, tiny_internet):
-        world = compile_world(tiny_internet)
-        export = world.export_shared()
-        try:
-            attached = attach_shared(export.handle)
-            assert attached.digest == world.digest
-            assert attached.seed == world.seed
-            for name in world._ARRAY_FIELDS:
-                np.testing.assert_array_equal(
-                    getattr(attached, name), getattr(world, name)
-                )
-            # Attached worlds answer queries identically.
-            table = tiny_internet.prefix_table
-            rng = random.Random(23)
-            for _ in range(100):
-                ip = rng.randrange(1 << 32)
-                assert attached.origin(ip) == table.origin_asn(ip)
-        finally:
-            # Drop the attached registry (closes its block handles) before
-            # unlinking the parent's export.
-            clear_compile_cache()
-            export.close(unlink=True)
-
-    def test_attach_registers_in_compile_cache(self, tiny_internet):
-        world = compile_world(tiny_internet)
-        export = world.export_shared()
-        try:
-            attached = attach_shared(export.handle)
-            assert compile_world(tiny_internet) is attached
-        finally:
-            clear_compile_cache()
-            export.close(unlink=True)
 
 
 class TestOraclePriming:

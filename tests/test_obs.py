@@ -8,6 +8,12 @@ from __future__ import annotations
 import io
 import json
 import logging
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +22,8 @@ from repro.obs import flowprobe, manifest, metrics, trace
 from repro.obs.log import JSONLFormatter, configure_logging, get_logger
 from repro.util import artifact_cache
 from repro.util.parallel import parallel_map, pool_stats, validate_jobs
+
+REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -295,6 +303,50 @@ class TestManifest:
         assert payload["resource"]["peak_rss_bytes"] > 0
         assert payload["resource"]["ru_utime_s"] >= 0.0
         assert payload["phases"] == [{"phase": "suite", "wall_s": 1.3}]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the probe's units live in a -c script, which only fork can run",
+    )
+    def test_resource_usage_covers_pool_workers(self):
+        """Workers that peak far above the parent set the manifest's peak."""
+        buffer_bytes = 96 << 20
+        script = textwrap.dedent(f"""
+            import json, resource
+            from repro.obs.manifest import resource_usage
+            from repro.util.parallel import parallel_map, pool_stats
+
+            def touch(_):
+                return len(b"x" * {buffer_bytes})
+
+            assert parallel_map(touch, [0, 1], jobs=2) == [{buffer_bytes}] * 2
+            print(json.dumps({{
+                "fallback": pool_stats()["fallback"],
+                "self_peak_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+                "usage": resource_usage(),
+            }}))
+        """)
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(REPO_SRC),
+            REPRO_POOL_OVERSUBSCRIBE="1",
+            REPRO_POOL_START="fork",
+        )
+        # ru_maxrss survives fork+exec: a probe started straight from this
+        # (large) test process would inherit its watermark, so a small
+        # launcher in between resets the probe's floor to the launcher's.
+        launcher = (
+            "import subprocess, sys; "
+            "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", launcher, script],
+            check=True, capture_output=True, text=True, env=env, timeout=300,
+        )
+        probe = json.loads(result.stdout.strip().splitlines()[-1])
+        assert probe["fallback"] is None  # a real two-worker pool ran
+        assert probe["self_peak_bytes"] < buffer_bytes  # the parent alone stays below
+        assert probe["usage"]["peak_rss_bytes"] >= buffer_bytes
 
     def test_phase_walls_flatten_top_two_levels(self):
         tree = [{"name": "suite", "duration_s": 3.0, "children": [

@@ -28,7 +28,8 @@ from repro.topology.geo import (
     propagation_delay_by_code_ms,
     propagation_delay_ms,
 )
-from repro.obs import metrics, trace
+from repro.obs import metrics, serve, timeseries, trace
+from repro.obs.profiler import SamplingProfiler
 from repro.util import artifact_cache
 from repro.util.parallel import (
     _WORKER_STATS_PROVIDERS,
@@ -212,6 +213,32 @@ class TestObservabilityTransparency:
             trace.reset()
         assert without_metrics == with_obs
 
+    def test_campaign_identical_with_full_telemetry_stack(self, small_study):
+        """Metrics, the cadence sampler, the live ``/metrics`` endpoint and
+        the sampling profiler all running change no campaign record."""
+        campaign = CampaignConfig(seed=19, days=2, total_tests=400)
+        artifact_cache.set_enabled(False)  # both runs compute, neither replays
+        try:
+            metrics.set_enabled(False)
+            quiet = small_study.run_campaign(campaign)
+            metrics.set_enabled(True)
+            sampler = timeseries.default_sampler(interval_s=0.01)
+            server = serve.TelemetryServer(port=0, sampler=sampler).start()
+            profiler = SamplingProfiler(hz=200).start()
+            try:
+                observed = small_study.run_campaign(campaign)
+            finally:
+                profiler.stop()
+                server.stop()
+        finally:
+            artifact_cache.set_enabled(None)
+            metrics.set_enabled(None)
+            metrics.reset()
+            timeseries.reset()
+        assert profiler.samples > 0
+        assert observed.ndt_records == quiet.ndt_records
+        assert observed.traceroute_records == quiet.traceroute_records
+
 
 class TestParallelMapPrimitive:
     def test_preserves_order(self, monkeypatch):
@@ -271,9 +298,8 @@ class TestParallelMapPrimitive:
 
 class TestSpawnParity:
     """Workers started by spawn (no fork, no copy-on-write inheritance)
-    rebuild their world from the shipped config — and attach the parent's
-    shared-memory compiled snapshot — yet must return the exact records
-    the serial loop does."""
+    rebuild their world once from the shipped config, yet must return
+    the exact records the serial loop does."""
 
     def test_spawn_pool_equals_serial(self, small_study, monkeypatch):
         monkeypatch.setenv("REPRO_POOL_OVERSUBSCRIBE", "1")
@@ -288,6 +314,21 @@ class TestSpawnParity:
         assert stats["start_method"] == "spawn"
         # Spawn workers cannot inherit the parent's memo: each rebuilds
         # its study once, then every unit hits.
+        assert stats["worker_stats"]["study_cache"]["rebuilds"] >= 1
+
+    def test_spawn_without_artifact_cache_equals_serial(self, small_study, monkeypatch):
+        """No snapshot on disk: the config alone rebuilds each worker's world."""
+        monkeypatch.setenv("REPRO_POOL_OVERSUBSCRIBE", "1")
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        kw = dict(alexa_count=40, max_prefixes=60)
+        serial = collect_coverage_reports(small_study, jobs=1, **kw)
+        monkeypatch.setenv("REPRO_POOL_START", "spawn")
+        spawned = collect_coverage_reports(small_study, jobs=2, **kw)
+        assert list(spawned) == list(serial)
+        for label, report in serial.items():
+            assert spawned[label] == report
+        stats = pool_stats()
+        assert stats["start_method"] == "spawn"
         assert stats["worker_stats"]["study_cache"]["rebuilds"] >= 1
 
     def test_fork_workers_inherit_study(self, small_study, monkeypatch):

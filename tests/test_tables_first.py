@@ -1,11 +1,10 @@
 """Table-first generation: the recorder's arrays ARE the world.
 
 The generator's :class:`WorldTableRecorder` emits the compiled arrays
-during construction; the object-graph walk (``compile_from_object_graph``
-/ ``REPRO_TABLE_FIRST=0``) is demoted to the reference implementation.
-These tests pin the flip's core promise: both builders produce
-byte-identical arrays (golden-digest equality), the escape hatch works,
-and the lazy object views over table rows equal the fabric's objects.
+during construction; the object-graph walk (``compile_from_object_graph``)
+is the reference implementation. These tests pin the core promise: both
+builders produce byte-identical arrays (golden-digest equality), and the
+lazy object views over table rows equal the fabric's objects.
 """
 
 from __future__ import annotations
@@ -21,9 +20,7 @@ from repro.net.compiled import (
     compile_from_object_graph,
     compile_world,
 )
-from repro.net.link import ProvisioningConfig, provision_links
 from repro.topology.generator import InternetConfig, generate_internet
-from repro.topology.tables import table_first_enabled
 from repro.validate.contracts import validate_internet
 
 _SEEDS = (9, 27)
@@ -47,7 +44,6 @@ def _golden_digest(world: CompiledWorld) -> str:
 
 class TestRecorderEmission:
     def test_generator_emits_full_table_schema(self, tiny_internet):
-        assert table_first_enabled()
         tables = tiny_internet.tables
         assert tables is not None
         assert set(tables) == set(CompiledWorld._ARRAY_FIELDS)
@@ -82,28 +78,6 @@ class TestRecorderEmission:
         assert _golden_digest(second) == first_digest
 
 
-class TestEscapeHatch:
-    def test_table_first_off_skips_recorder_and_stays_identical(self, monkeypatch):
-        internet_on = generate_internet(_tiny(_SEEDS[0]))
-        clear_compile_cache()
-        world_on = compile_world(internet_on)
-
-        monkeypatch.setenv("REPRO_TABLE_FIRST", "0")
-        assert not table_first_enabled()
-        internet_off = generate_internet(_tiny(_SEEDS[0]))
-        assert internet_off.tables is None
-        clear_compile_cache()
-        world_off = compile_world(internet_off)
-        assert _golden_digest(world_off) == _golden_digest(world_on)
-        clear_compile_cache()
-
-    def test_repro_compiled_off_also_disables_recorder(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED", "0")
-        assert not table_first_enabled()
-        internet = generate_internet(_tiny(_SEEDS[1]))
-        assert internet.tables is None
-
-
 class TestLazyLinkViews:
     def test_interconnect_views_equal_fabric_objects(self, tiny_internet):
         world = compile_world(tiny_internet)
@@ -117,15 +91,6 @@ class TestLazyLinkViews:
     def test_unknown_link_id_yields_none(self, tiny_internet):
         world = compile_world(tiny_internet)
         assert world.interconnect_view(10**9) is None
-
-    def test_provision_links_identical_with_and_without_tables(self):
-        internet = generate_internet(_tiny(_SEEDS[0]))
-        config = ProvisioningConfig(seed=internet.seed)
-        from_tables = provision_links(internet, config)
-        internet.tables = None
-        clear_compile_cache()
-        from_fabric = provision_links(internet, config)
-        assert from_tables.param_map() == from_fabric.param_map()
 
 
 class TestContractCoverage:

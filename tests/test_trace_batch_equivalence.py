@@ -8,8 +8,7 @@ paths over identical request sets — across seeds, across artifact-heavy
 configurations, across repeated batches (which exercise the render-table
 fast path) — and pin the whole thing to a golden digest captured from
 the scalar engine. The vectorized MAP-IT pass-1 rides on the same
-contract: with and without ``REPRO_COMPILED`` it must infer identical
-ownership and links.
+contract: it must infer the ownership and links of the scalar pass.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import hashlib
 
 import pytest
 
+from repro.inference import mapit
 from repro.inference.mapit import MapIt
 from repro.measurement.traceroute import (
     TraceRequest,
@@ -135,14 +135,6 @@ class TestTraceBatchEquivalence:
         scalar = [scalar_engine.trace(*r) for r in requests]
         assert mixed == scalar
 
-    def test_compiled_escape_hatch_identical(self, small_study, monkeypatch):
-        requests = _golden_requests(small_study, tag="eq:hatch")
-        config = TracerouteConfig(seed=7)
-        fast = _engine(small_study, config, "eq:hatch").trace_batch(requests)
-        monkeypatch.setenv("REPRO_COMPILED", "0")
-        slow = _engine(small_study, config, "eq:hatch").trace_batch(requests)
-        assert slow == fast
-
     def test_empty_batch(self, small_study):
         assert _engine(small_study, TracerouteConfig(seed=7), "eq:empty").trace_batch([]) == []
 
@@ -170,7 +162,7 @@ class TestMapItVectorEquivalence:
         assert len(interfaces) >= 64, "corpus too small to trigger the vector path"
 
         fast = MapIt(small_study.oracle, small_study.internet.graph).infer(paths)
-        monkeypatch.setenv("REPRO_COMPILED", "0")
+        monkeypatch.setattr(mapit, "_VECTOR_MIN_INTERFACES", 10**9)
         slow = MapIt(small_study.oracle, small_study.internet.graph).infer(paths)
 
         assert fast.ownership == slow.ownership

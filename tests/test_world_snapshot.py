@@ -5,28 +5,23 @@ The table-first pipeline persists every compiled world as a versioned
 These tests pin the durability contract: a snapshot round-trip is
 byte-identical to the in-memory world, a stale ``format_version`` warns
 and rebuilds (never crashes, never serves wrong tables), eviction only
-re-derives, and pool workers attached via :class:`SnapshotHandle` return
-the same coverage reports as the serial sweep under both start methods.
+re-derives, and pooled coverage sweeps return the same reports as the
+serial sweep under both start methods.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.coverage import collect_coverage_reports
-from repro.core.pipeline import shared_world_export
 from repro.measurement.traceroute import TraceRequest, TracerouteConfig, TracerouteEngine
 from repro.net import compiled, snapshot
 from repro.net.compiled import (
     CompiledWorld,
-    SnapshotExport,
-    SnapshotHandle,
-    attach_snapshot,
     clear_compile_cache,
     compile_from_object_graph,
     compile_world,
@@ -259,32 +254,6 @@ class TestEviction:
 
 
 class TestSnapshotTransport:
-    def test_export_prefers_snapshot_handle_under_spawn(
-        self, fresh_cache, monkeypatch, small_study
-    ):
-        monkeypatch.setenv("REPRO_POOL_OVERSUBSCRIBE", "1")
-        monkeypatch.setenv("REPRO_POOL_START", "spawn")
-        export = shared_world_export(small_study, jobs=2)
-        assert isinstance(export, SnapshotExport)
-        assert Path(export.handle.path).exists()
-        export.close(unlink=True)
-        assert Path(export.handle.path).exists(), "snapshot is a durable cache entry"
-
-        clear_compile_cache()
-        attached = attach_snapshot(export.handle)
-        assert attached is not None
-        _assert_worlds_byte_equal(attached, compile_world(small_study.internet))
-
-    def test_attach_degrades_to_none_when_file_vanished(
-        self, fresh_cache, monkeypatch, caplog
-    ):
-        clear_compile_cache()
-        handle = SnapshotHandle(digest="no-such-world", path=str(fresh_cache / "gone.npz"))
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            assert attach_snapshot(handle) is None
-        assert any("attach" in r.getMessage() for r in caplog.records)
-
     def test_compiled_world_for_cold_loads_without_generator(self, fresh_cache):
         config = _tiny(_SEEDS[0])
         first = compiled_world_for(config)
@@ -322,5 +291,5 @@ class TestPoolParity:
             assert list(pooled) == list(serial), start
             for label in serial:
                 assert pooled[label] == serial[label], (start, label)
-        # The spawn run shipped the world by snapshot file.
+        # Compiling the world for the sweep persisted its snapshot.
         assert snapshot_path(world_digest(small_study.internet)).exists()

@@ -50,11 +50,10 @@ from repro.topology.tables import (
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: The scale-1.0 seed-7 world every committed benchmark recorded
-#: (BENCH_PR6 and BENCH_PR8 ``*_sha256`` fields). Generation is pure
-#: integer arithmetic off a seeded RNG, so this is platform-stable; if
-#: it moves, worldgen's output changed and every cached snapshot and
-#: calibrated gate moved with it.
+#: The scale-1.0 seed-7 world the benchmarks have always measured.
+#: Generation is pure integer arithmetic off a seeded RNG, so this is
+#: platform-stable; if it moves, worldgen's output changed and every
+#: cached snapshot and calibrated gate moved with it.
 GOLDEN_SCALE1_SHA = "ee9fedefaaa7c249820931fdb1cbbfef42b10aee62c911d4b964157dabf28326"
 
 
@@ -223,7 +222,7 @@ class TestFlattenNestedFamilies:
 @pytest.mark.slow
 class TestScale4MemoryCeiling:
     #: Net generation RSS allowed at scale 4.0. The array-native path
-    #: measures ~31 MB (BENCH_PR8); the retired object path measured
+    #: measures ~31 MB; the retired object path measured
     #: ~82 MB, so the ceiling fails on an object-graph regression while
     #: leaving 2x headroom for allocator noise.
     NET_RSS_CEILING_MB = 64.0
@@ -257,7 +256,6 @@ class TestScale4MemoryCeiling:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_SRC)
         env["REPRO_CACHE"] = "0"
-        env.pop("REPRO_TABLE_FIRST", None)
         result = subprocess.run(
             [sys.executable, "-c", script],
             check=True, capture_output=True, text=True, env=env,
