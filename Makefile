@@ -4,7 +4,7 @@ export PYTHONPATH := src
 # Coverage floor for `make coverage` (core + validate packages).
 COV_FLOOR ?= 75
 
-.PHONY: test test-slow validate validate-smoke fuzz coverage bench experiments trace-smoke clean-cache
+.PHONY: test test-slow validate validate-smoke fuzz coverage bench experiments suite-check trace-smoke clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -58,8 +58,26 @@ trace-smoke:
 bench:
 	$(PYTHON) layerbench/bench.py
 
+# Every experiment, serially; its stdout is the committed
+# experiments_output.txt.
 experiments:
-	$(PYTHON) -m repro.experiments all
+	$(PYTHON) -m repro.experiments all > experiments_output.txt
+
+# The whole suite fanned out over two workers against an empty artifact
+# cache; minus timing lines (stripped as the benchmark strips them), its
+# stdout must equal experiments_output.txt. Leaves stdout and
+# run_manifest.json in suite-check/.
+suite-check:
+	rm -rf suite-check && mkdir -p suite-check
+	REPRO_CACHE_DIR=suite-check/cache $(PYTHON) -m repro.experiments all --jobs 2 \
+		--obs-dir suite-check > suite-check/stdout.txt
+	$(PYTHON) -c "import sys; sys.path.insert(0, 'layerbench'); \
+	from workloads import strip_timings; \
+	strip = lambda src, dst: open(dst, 'w').write(strip_timings(open(src).read()) + '\\n'); \
+	strip('experiments_output.txt', 'suite-check/expected.txt'); \
+	strip('suite-check/stdout.txt', 'suite-check/actual.txt')"
+	diff -u suite-check/expected.txt suite-check/actual.txt
+	@echo "suite-check ok: all --jobs 2 matches experiments_output.txt"
 
 clean-cache:
 	$(PYTHON) -c "from repro.util import artifact_cache; print(artifact_cache.clear(), 'artifacts removed')"

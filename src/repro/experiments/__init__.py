@@ -57,6 +57,31 @@ EXPERIMENTS = {
     "ext-sigs": ext_signatures.run,
 }
 
+#: The readers of each memoized product of :mod:`repro.experiments.common`.
+#: ``all --jobs N`` runs a group as one pool unit, so its first member
+#: builds the product and the rest read that worker's in-process memo.
+SHARED_PRODUCT_GROUPS: tuple[tuple[str, ...], ...] = (
+    ("fig1", "tab2", "sec62", "val-mapit", "ext-iplink"),  # analyzed_campaign(study)
+    ("fig2", "fig3", "fig4", "sec54"),  # coverage_reports(study)
+    ("fig5", "ext-strat"),  # analyzed_campaign(study, FIG5_CAMPAIGN)
+)
+
+
+def experiment_units(ids: list[str]) -> list[tuple[str, ...]]:
+    """Split experiment ids into pool units for ``all --jobs N``.
+
+    Ids of one :data:`SHARED_PRODUCT_GROUPS` entry form one unit; every
+    other id is a unit of its own. Members keep registry order and units
+    are ordered by their first member.
+    """
+    group_of = {member: group for group in SHARED_PRODUCT_GROUPS for member in group}
+    order = {experiment_id: index for index, experiment_id in enumerate(EXPERIMENTS)}
+    units: dict[tuple[str, ...], list[str]] = {}
+    for experiment_id in sorted(ids, key=order.__getitem__):
+        units.setdefault(group_of.get(experiment_id, (experiment_id,)), []).append(experiment_id)
+    return [tuple(members) for members in units.values()]
+
+
 #: The EXPERIMENTS.md summary-table artifacts, in table order. Every one
 #: of these has a named shape gate in :mod:`repro.validate.gates`; the
 #: default ``python -m repro validate`` sweep runs exactly this set.
@@ -65,4 +90,10 @@ SUMMARY_EXPERIMENTS: tuple[str, ...] = (
     "fig4", "fig5", "sec41", "sec54", "sec62",
 )
 
-__all__ = ["EXPERIMENTS", "SUMMARY_EXPERIMENTS", "ExperimentResult"]
+__all__ = [
+    "EXPERIMENTS",
+    "SHARED_PRODUCT_GROUPS",
+    "SUMMARY_EXPERIMENTS",
+    "ExperimentResult",
+    "experiment_units",
+]

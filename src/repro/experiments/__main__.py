@@ -12,10 +12,14 @@
     python -m repro.experiments fig2 --sample-profile      # flamegraph
 
 ``--jobs N`` raises the session's parallelism: per-VP loops fan out
-inside each experiment, and ``all`` additionally distributes whole
-experiments across the pool. Output is printed in registry order and is
-identical to a serial run — observability lives beside results, never
-inside them.
+inside each experiment, and ``all`` additionally distributes experiments
+across the pool in units. The readers of one shared product (the May-2015
+campaign, the Figure 5 campaign, the §5 coverage reports; see
+``SHARED_PRODUCT_GROUPS``) run as one unit in one worker, so the product
+is built once; every other experiment is a unit of its own. Output is
+printed in registry order and is identical to a serial run apart from
+the ``[id in Xs]`` timing lines — observability lives beside results,
+never inside them.
 
 Every run writes ``run_manifest.json`` (seed, config digest, cache and
 pool stats, per-experiment status + duration, span tree) so two runs can
@@ -44,7 +48,7 @@ import pstats
 import sys
 import time
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments import EXPERIMENTS, experiment_units
 from repro.experiments.base import ExperimentResult
 from repro.obs import flowprobe, manifest, metrics, trace
 from repro.obs.log import configure_logging, get_logger
@@ -61,15 +65,26 @@ _log = get_logger(__name__)
 
 
 def _run_experiment(experiment_id: str) -> ExperimentResult:
-    """Pool worker: one experiment end-to-end (module-level for pickling).
+    """One experiment end-to-end, inside an ``experiment:<id>`` span.
 
     The span makes every experiment a named node in the timing tree —
-    in-process for serial runs, returned from the worker and grafted in
-    input order for ``all --jobs N`` runs, so the tree shape is the same
-    either way.
+    in-process for serial runs; under ``all --jobs N`` each unit's spans
+    come back from its worker and are grafted in unit order, so the same
+    nodes appear either way.
     """
     with span(f"experiment:{experiment_id}"):
         return EXPERIMENTS[experiment_id]()
+
+
+def _run_unit(unit: tuple[str, ...]) -> list[tuple[ExperimentResult, float]]:
+    """Pool worker: one unit's experiments in order, each with its own
+    wall seconds (module-level for pickling)."""
+    timed = []
+    for experiment_id in unit:
+        start = time.time()
+        result = _run_experiment(experiment_id)
+        timed.append((result, time.time() - start))
+    return timed
 
 
 def _worldgen_stats() -> dict[str, object] | None:
@@ -244,14 +259,16 @@ def main(argv: list[str]) -> int:
                 _print_result(experiment_id, result, elapsed)
                 statuses[experiment_id] = {"status": "ok"}
         elif run_all and jobs > 1:
-            # Fan whole experiments out; each worker runs its experiment
-            # serially (nested fan-out degrades to serial inside workers).
-            # Results print in registry order — identical text to jobs=1.
-            start = time.time()
-            results = parallel_map(_run_experiment, ids, jobs=jobs)
-            elapsed = time.time() - start
-            for experiment_id, result in zip(ids, results):
-                _print_result(experiment_id, result, elapsed / len(ids))
+            # Fan units out; each worker runs its unit serially (nested
+            # fan-out degrades to serial inside workers). Results print in
+            # registry order — identical text to jobs=1.
+            units = experiment_units(ids)
+            timed = {}
+            for unit, unit_results in zip(units, parallel_map(_run_unit, units, jobs=jobs)):
+                timed.update(zip(unit, unit_results))
+            for experiment_id in ids:
+                result, elapsed = timed[experiment_id]
+                _print_result(experiment_id, result, elapsed)
                 statuses[experiment_id] = {"status": "ok"}
         else:
             for experiment_id in ids:

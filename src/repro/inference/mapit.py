@@ -33,6 +33,7 @@ into IXP-mediated links between the surrounding networks.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -115,16 +116,19 @@ class MapItResult:
     passes_used: int
     flips: int
 
-    def link_by_ip_pair(self) -> dict[tuple[int, int], InferredLink]:
+    @functools.cached_property
+    def _link_index(self) -> dict[tuple[int, int], InferredLink]:
+        """ip pair → link, built on first use; a later link on a pair wins."""
         return {link.ip_pair(): link for link in self.links}
 
     def annotate_trace(self, ips: list[int | None]) -> list[tuple[int, InferredLink]]:
         """Interdomain crossings in one trace: (hop index of far side, link).
 
         ``ips`` is a TTL-ordered hop list (None for non-responses); only
-        adjacent responding pairs are matched against the inferred links.
+        adjacent responding pairs are matched against the inferred links,
+        so one trace costs time in its hop count, not in the link count.
         """
-        by_pair = self.link_by_ip_pair()
+        by_pair = self._link_index
         crossings: list[tuple[int, InferredLink]] = []
         for index in range(1, len(ips)):
             a, b = ips[index - 1], ips[index]

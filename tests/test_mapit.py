@@ -1,10 +1,12 @@
 """Unit tests for MAP-IT on hand-built boundary scenarios, plus an
 integration accuracy check on the generated world."""
 
+import pickle
+
 import pytest
 
 from repro.inference.borders import OriginOracle
-from repro.inference.mapit import MapIt, MapItConfig
+from repro.inference.mapit import InferredLink, MapIt, MapItConfig, MapItResult
 from repro.topology.addressing import Prefix, PrefixTable
 from repro.topology.asgraph import AS, ASGraph, ASRole, Relationship
 from repro.topology.orgs import Organization, OrgMap
@@ -153,6 +155,51 @@ class TestGapsAndNoise:
         mapit = MapIt(OriginOracle(table, orgs), graph, MapItConfig())
         result = mapit.infer([[A_CORE, near, far, B_CORE]] * 4)
         assert result.links == []  # sibling boundary is not interdomain
+
+
+class TestLinkIndex:
+    """``annotate_trace`` reads one ip-pair index, built on first use."""
+
+    NEAR, FAR = parse_ip("10.0.0.100"), parse_ip("10.0.0.101")
+    TRACE = [A_CORE, NEAR, FAR, B_CORE]
+
+    def _result(self):
+        """Two links on one ip pair, seen in opposite trace directions."""
+        first = InferredLink(self.NEAR, self.FAR, A_ASN, B_ASN, observations=4)
+        later = InferredLink(self.FAR, self.NEAR, B_ASN, A_ASN, observations=2)
+        result = MapItResult(
+            ownership={self.NEAR: A_ASN, self.FAR: B_ASN},
+            links=[first, later],
+            passes_used=1,
+            flips=1,
+        )
+        return result, later
+
+    def test_later_link_on_a_pair_wins(self):
+        result, later = self._result()
+        assert result.annotate_trace(self.TRACE) == [(2, later)]
+        assert result.annotate_trace(self.TRACE[::-1]) == [(2, later)]
+
+    def test_index_built_once(self, monkeypatch):
+        result, _ = self._result()
+        calls = []
+        ip_pair = InferredLink.ip_pair
+
+        def counted(link):
+            calls.append(link)
+            return ip_pair(link)
+
+        monkeypatch.setattr(InferredLink, "ip_pair", counted)
+        for _ in range(5):
+            assert len(result.annotate_trace(self.TRACE)) == 1
+        assert len(calls) == len(result.links)
+
+    def test_pickled_after_index_built(self):
+        result, later = self._result()
+        crossings = result.annotate_trace(self.TRACE)
+        clone = pickle.loads(pickle.dumps(result))
+        assert clone == result
+        assert clone.annotate_trace(self.TRACE) == crossings == [(2, later)]
 
 
 class TestIntegrationAccuracy:
