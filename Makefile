@@ -4,7 +4,7 @@ export PYTHONPATH := src
 # Coverage floor for `make coverage` (core + validate packages).
 COV_FLOOR ?= 75
 
-.PHONY: test test-slow validate validate-smoke fuzz coverage bench experiments suite-check trace-smoke clean-cache
+.PHONY: test test-slow validate validate-smoke fuzz coverage bench experiments suite-check pins-check trace-smoke clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -78,6 +78,25 @@ suite-check:
 	strip('suite-check/stdout.txt', 'suite-check/actual.txt')"
 	diff -u suite-check/expected.txt suite-check/actual.txt
 	@echo "suite-check ok: all --jobs 2 matches experiments_output.txt"
+
+# One untraced benchmark repetition each of `campaign` and `coverage` at
+# seeds 7 and 11; every result digest must equal layerbench/pinned.json
+# and every self-check must pass (~1 min). Reads the benchmark's files
+# and changes none of them. Leaves each repetition's JSON in pins-check/.
+pins-check:
+	rm -rf pins-check && mkdir -p pins-check
+	for workload in campaign coverage; do for seed in 7 11; do \
+		$(PYTHON) layerbench/rep.py $$workload --seed $$seed --jobs 1 --tmp pins-check \
+			> pins-check/$$workload-$$seed.json || exit 1; \
+	done; done
+	$(PYTHON) -c "import json; pins = json.load(open('layerbench/pinned.json')); \
+	reps = [json.loads(open(f'pins-check/{w}-{s}.json').read().splitlines()[-1]) \
+	        for w in ('campaign', 'coverage') for s in (7, 11)]; \
+	bad = [(r['workload'], r['seed'], r['problems']) for r in reps \
+	       if r['digest'] != pins[r['workload']][str(r['seed'])] or r['problems']]; \
+	print('\\n'.join('%s %s %s' % (r['workload'], r['seed'], r['digest']) for r in reps)); \
+	raise SystemExit(f'pins-check failed: {bad}' if bad else 0)"
+	@echo "pins-check ok: campaign and coverage digests match layerbench/pinned.json"
 
 clean-cache:
 	$(PYTHON) -c "from repro.util import artifact_cache; print(artifact_cache.clear(), 'artifacts removed')"

@@ -121,12 +121,12 @@ def coverage_analysis(
     vp_org = oracle.canonical(vp.asn)
     # Hop-IP sequences are extracted once per trace and shared between the
     # MAP-IT corpus and the per-set border walks below.
-    bdrmap_paths: list[list[int | None]] = [t.router_hop_ips() for t in bdrmap_traces]
-    platform_paths: dict[str, list[list[int | None]]] = {
+    bdrmap_paths: list[tuple[int | None, ...]] = [t.router_hop_ips() for t in bdrmap_traces]
+    platform_paths: dict[str, list[tuple[int | None, ...]]] = {
         name: [t.router_hop_ips() for t in traces]
         for name, traces in platform_traces.items()
     }
-    all_paths: list[list[int | None]] = list(bdrmap_paths)
+    all_paths: list[tuple[int | None, ...]] = list(bdrmap_paths)
     for paths in platform_paths.values():
         all_paths.extend(paths)
 
@@ -139,7 +139,7 @@ def coverage_analysis(
     resolver = alias_resolver if alias_resolver is not None else AliasResolver(internet)
     aliases = resolver.resolve(observed)
 
-    def borders_of(paths: list[list[int | None]], name: str) -> BorderSet:
+    def borders_of(paths: list[tuple[int | None, ...]], name: str) -> BorderSet:
         as_level: set[int] = set()
         router_level: set[RouterBorder] = set()
         for path in paths:

@@ -16,7 +16,7 @@ import csv
 import json
 from typing import Iterable
 
-from repro.measurement.records import NDTRecord, TraceHop, TracerouteRecord
+from repro.measurement.records import NDTRecord, TracerouteRecord
 from repro.util.ip import format_ip, parse_ip
 
 _NDT_PUBLIC_FIELDS = [
@@ -134,11 +134,13 @@ def write_traceroutes_jsonl(
                 "reached_destination": trace.reached_destination,
                 "hops": [
                     {
-                        "ttl": hop.ttl,
-                        "ip": format_ip(hop.ip) if hop.ip is not None else None,
-                        "rtt_ms": hop.rtt_ms,
+                        "ttl": ttl,
+                        "ip": format_ip(ip) if ip is not None else None,
+                        "rtt_ms": rtt_ms,
                     }
-                    for hop in trace.hops
+                    for ttl, (ip, rtt_ms) in enumerate(
+                        zip(trace.hop_ips, trace.hop_rtts), start=1
+                    )
                 ],
             }
             if include_ground_truth:
@@ -150,22 +152,24 @@ def write_traceroutes_jsonl(
 
 
 def load_traceroutes_jsonl(path: str) -> list[TracerouteRecord]:
-    """Load traceroutes from JSONL (ground truth optional)."""
+    """Load traceroutes from JSONL (ground truth optional).
+
+    A record's hop TTLs must run 1..n in order, since a hop's TTL is its
+    position; a file whose TTLs skip or repeat raises ``ValueError``.
+    """
     traces: list[TracerouteRecord] = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             payload = json.loads(line)
-            hops = tuple(
-                TraceHop(
-                    ttl=hop["ttl"],
-                    ip=parse_ip(hop["ip"]) if hop["ip"] is not None else None,
-                    rtt_ms=hop["rtt_ms"],
+            hops = payload["hops"]
+            if [hop["ttl"] for hop in hops] != list(range(1, len(hops) + 1)):
+                raise ValueError(
+                    f"{path}:{line_number}: trace {payload['trace_id']} hop TTLs "
+                    f"are not 1..{len(hops)}"
                 )
-                for hop in payload["hops"]
-            )
             traces.append(
                 TracerouteRecord(
                     trace_id=payload["trace_id"],
@@ -173,7 +177,11 @@ def load_traceroutes_jsonl(path: str) -> list[TracerouteRecord]:
                     src_ip=parse_ip(payload["src_ip"]),
                     src_asn=payload["src_asn"],
                     dst_ip=parse_ip(payload["dst_ip"]),
-                    hops=hops,
+                    hop_ips=tuple(
+                        parse_ip(hop["ip"]) if hop["ip"] is not None else None
+                        for hop in hops
+                    ),
+                    hop_rtts=tuple(hop["rtt_ms"] for hop in hops),
                     reached_destination=payload["reached_destination"],
                     gt_crossed_links=tuple(payload.get("gt_crossed_links", ())),
                     gt_as_path=tuple(payload.get("gt_as_path", ())),

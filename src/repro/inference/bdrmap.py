@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.inference.alias import AliasResolution, AliasResolver
 from repro.inference.borders import OriginOracle
@@ -129,7 +130,7 @@ def run_bdrmap(
 ) -> BdrmapResult:
     """Analysis phase: infer the VP network's borders from collected traces."""
     vp_org_asn = oracle.canonical(vp.asn)
-    ip_paths: list[list[int | None]] = [t.router_hop_ips() for t in traces]
+    ip_paths = [t.router_hop_ips() for t in traces]
 
     mapit = MapIt(oracle, internet.graph, mapit_config)
     ownership = mapit.infer(ip_paths).ownership
@@ -247,7 +248,7 @@ def org_relationship(
 
 
 def _first_departure(
-    path: list[int | None],
+    path: Sequence[int | None],
     ownership: dict[int, int | None],
     vp_org_asn: int,
     oracle: OriginOracle,

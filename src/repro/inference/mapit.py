@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -121,7 +122,7 @@ class MapItResult:
         """ip pair → link, built on first use; a later link on a pair wins."""
         return {link.ip_pair(): link for link in self.links}
 
-    def annotate_trace(self, ips: list[int | None]) -> list[tuple[int, InferredLink]]:
+    def annotate_trace(self, ips: Sequence[int | None]) -> list[tuple[int, InferredLink]]:
         """Interdomain crossings in one trace: (hop index of far side, link).
 
         ``ips`` is a TTL-ordered hop list (None for non-responses); only
@@ -178,7 +179,7 @@ class MapIt:
 
     # ------------------------------------------------------------------
 
-    def infer(self, traces: list[list[int | None]]) -> MapItResult:
+    def infer(self, traces: Sequence[Sequence[int | None]]) -> MapItResult:
         """Run the multipass inference over a corpus of hop sequences.
 
         Each trace is the TTL-ordered hop list with ``None`` for
@@ -525,7 +526,7 @@ class MapIt:
 
     def _extract_links(
         self,
-        traces: list[list[int]],
+        traces: Sequence[Sequence[int | None]],
         pair_counts: Counter[tuple[int, int]],
         ownership: dict[int, int | None],
     ) -> list[InferredLink]:

@@ -57,12 +57,9 @@ class NDTRecord:
 
 
 class TraceHop(NamedTuple):
-    """One TTL step of a traceroute. ``ip`` is None for a non-response (*).
+    """A view of one TTL step of a traceroute (see :attr:`TracerouteRecord.hops`).
 
-    A NamedTuple rather than a frozen dataclass: traceroute rendering
-    builds hundreds of thousands of these per sweep and tuple construction
-    skips the per-field ``object.__setattr__`` a frozen dataclass pays.
-    Field access, repr format, equality, and pickling are unchanged.
+    ``ip`` is None for a non-response (*).
     """
 
     ttl: int
@@ -72,33 +69,50 @@ class TraceHop(NamedTuple):
 
 @dataclass(frozen=True)
 class TracerouteRecord:
-    """A Paris traceroute from a measurement server toward a client."""
+    """A Paris traceroute from a measurement server toward a client.
+
+    The hops are stored as two columns, position ``i`` holding TTL
+    ``i + 1``: exact tuples of ints, floats and None, which the cyclic
+    collector stops tracking at their first young collection. A sweep
+    keeps hundreds of thousands of hops alive, and one object per hop
+    would stay on every full collection's scan list for its whole life.
+    """
 
     trace_id: int
     timestamp_s: float
     src_ip: int
     src_asn: int
     dst_ip: int
-    hops: tuple[TraceHop, ...]
+    #: Reply address per TTL; None for a non-response (*).
+    hop_ips: tuple[int | None, ...]
+    #: Round-trip time per TTL in ms; None exactly where ``hop_ips`` is.
+    hop_rtts: tuple[float | None, ...]
     reached_destination: bool
     # --- ground truth (validation only) ---
     gt_crossed_links: tuple[int, ...]
     gt_as_path: tuple[int, ...]
 
-    def responding_ips(self) -> list[int]:
-        return [hop.ip for hop in self.hops if hop.ip is not None]
+    @property
+    def hops(self) -> tuple[TraceHop, ...]:
+        """The hops as :class:`TraceHop` views, built on each access."""
+        return tuple(
+            map(TraceHop, range(1, len(self.hop_ips) + 1), self.hop_ips, self.hop_rtts)
+        )
 
-    def router_hop_ips(self) -> list[int | None]:
+    def responding_ips(self) -> list[int]:
+        return [ip for ip in self.hop_ips if ip is not None]
+
+    def router_hop_ips(self) -> tuple[int | None, ...]:
         """TTL-ordered hop addresses (None for ``*``), destination excluded.
 
         Border-inference algorithms reason about router interfaces; the
         destination host's response is not a router hop and would poison
         adjacency evidence (a last-router→host pair looks like an AS
-        boundary whenever the two sit in different prefixes).
+        boundary whenever the two sit in different prefixes). Returns the
+        stored column itself, or a slice of it when the destination
+        replied; this runs per trace in every border-inference sweep.
         """
-        hops = self.hops
-        if self.reached_destination and hops and hops[-1].ip == self.dst_ip:
-            hops = hops[:-1]
-        # hop[1] is TraceHop.ip — plain tuple indexing, because this runs
-        # per trace in every border-inference sweep.
-        return [hop[1] for hop in hops]
+        ips = self.hop_ips
+        if self.reached_destination and ips and ips[-1] == self.dst_ip:
+            return ips[:-1]
+        return ips

@@ -26,7 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from repro.measurement.records import TraceHop, TracerouteRecord
+from repro.measurement.records import TracerouteRecord
 from repro.obs import metrics
 from repro.routing.forwarding import Forwarder, ForwardingPath
 from repro.topology.geo import propagation_delay_by_code_ms
@@ -125,16 +125,19 @@ class TracerouteEngine:
             verdicts.move_to_end(verdict_key)
         self._silence = silence
         self._next_trace_id = 1
-        #: id(path) -> precomputed render table; _render_paths pins the
-        #: path objects so ids cannot be recycled while a table lives.
-        self._render_tables: dict[int, tuple] = {}
+        #: id(path) -> render table ``(entries, last_city, last_cum_ms)``,
+        #: one ``(silent, reply_ip, cumulative_ms, router_id)`` entry per
+        #: hop; _render_paths pins the path objects so ids cannot be
+        #: recycled while a table lives. The OrderedDicts here evict FIFO
+        #: in O(1).
+        self._render_tables: OrderedDict[int, tuple] = OrderedDict()
         self._render_paths: dict[int, ForwardingPath] = {}
         #: Paths rendered exactly once so far: a table is only built on a
         #: path's *second* visit, so one-shot sweeps (most coverage paths
         #: are traced once) never pay the table-construction overhead.
-        self._render_seen: dict[int, ForwardingPath] = {}
+        self._render_seen: OrderedDict[int, ForwardingPath] = OrderedDict()
         #: (router_id, probed_ip) -> alternate interface ips, resolved
-        #: lazily on third-party events exactly like the scalar path.
+        #: lazily on third-party events.
         self._alternates_memo: dict[tuple[int, int], tuple[int, ...]] = {}
         #: (last_hop_city, dst_city) -> final-hop round-trip delay bump.
         self._final_delay: dict[tuple[str, str], float] = {}
@@ -178,30 +181,32 @@ class TracerouteEngine:
         transient_loss_prob = config.transient_loss_prob
         third_party_prob = config.third_party_prob
         rtt_jitter_ms = config.rtt_jitter_ms
-        hops: list[TraceHop] = []
-        hops_append = hops.append
+        ips: list[int | None] = []
+        rtts: list[float | None] = []
         cumulative_ms = 1.0
-        previous_city = path.hops[0].city_code if path.hops else dst_city
-        for ttl, hop in enumerate(path.hops, start=1):
-            if hop.city_code != previous_city:
-                cumulative_ms += 2.0 * propagation_delay_by_code_ms(
-                    previous_city, hop.city_code
-                )
-                previous_city = hop.city_code
-            reply_ip: int | None = hop.reply_ip
-            silent = silence.get(hop.router_id)
+        cities = path.hop_cities
+        previous_city = cities[0] if cities else dst_city
+        for router_id, city, default_ip in zip(path.hop_routers, cities, path.hop_ips):
+            if city != previous_city:
+                cumulative_ms += 2.0 * propagation_delay_by_code_ms(previous_city, city)
+                previous_city = city
+            reply_ip: int | None = default_ip
+            silent = silence.get(router_id)
             if silent is None:
-                silent = router_is_silent(hop.router_id)
+                silent = router_is_silent(router_id)
             if silent or rng_random() < transient_loss_prob:
                 reply_ip = None
             elif rng_random() < third_party_prob:
-                reply_ip = self._third_party_address(hop.router_id, hop.reply_ip)
+                alternates = self._alternates(router_id, default_ip)
+                if alternates:
+                    reply_ip = self._rng.choice(alternates)
             rtt = None
             if reply_ip is not None:
                 # Inlined rng.uniform(-1, 1): a + (b - a) * random() with
                 # a=-1, b=1 — bit-identical, minus the method call.
                 rtt = max(0.1, cumulative_ms + (-1 + 2 * rng_random()) * rtt_jitter_ms)
-            hops_append(TraceHop(ttl, reply_ip, rtt))
+            ips.append(reply_ip)
+            rtts.append(rtt)
 
         reached = rng_random() < config.destination_responds_prob
         if reached:
@@ -210,9 +215,8 @@ class TracerouteEngine:
                     previous_city, dst_city
                 )
             # Inlined rng.uniform(0, jitter): 0 + jitter * random().
-            hops_append(
-                TraceHop(len(hops) + 1, dst_ip, cumulative_ms + rtt_jitter_ms * rng_random())
-            )
+            ips.append(dst_ip)
+            rtts.append(cumulative_ms + rtt_jitter_ms * rng_random())
 
         record = TracerouteRecord(
             trace_id=self._next_trace_id,
@@ -220,7 +224,8 @@ class TracerouteEngine:
             src_ip=src_ip,
             src_asn=path.src_asn,
             dst_ip=dst_ip,
-            hops=tuple(hops),
+            hop_ips=tuple(ips),
+            hop_rtts=tuple(rtts),
             reached_destination=reached,
             gt_crossed_links=path.crossed_links,
             gt_as_path=path.as_path,
@@ -241,11 +246,12 @@ class TracerouteEngine:
         resolver (same interned paths), and rendering consumes the
         engine's artifact stream with exactly the scalar draw sequence —
         only the per-hop *static* facts (cumulative propagation delay,
-        silent-router verdicts, third-party alternate interfaces) are
-        precomputed once per interned path instead of once per trace,
-        and every per-record binding is hoisted out of the loop. The
-        first trace along a path builds its render table *while*
-        rendering, so cold sweeps pay no extra walk.
+        silent-router verdicts) are precomputed once per interned path
+        instead of once per trace, and every per-record binding is
+        hoisted out of the loop. A path's render table is built on its
+        second visit, *while* rendering, so repeated paths pay no extra
+        walk and one-shot paths (most coverage paths are traced once) pay
+        no table work at all.
         """
         _BATCH_CALLS.inc()
         _BATCH_REQUESTS.inc(len(requests))
@@ -263,7 +269,7 @@ class TracerouteEngine:
         third_party_prob = config.third_party_prob
         rtt_jitter_ms = config.rtt_jitter_ms
         responds_prob = config.destination_responds_prob
-        silence = self._silence
+        silence_get = self._silence.get
         router_is_silent = self._router_is_silent
         prop_delay = propagation_delay_by_code_ms
         tables = self._render_tables
@@ -272,13 +278,10 @@ class TracerouteEngine:
         tables_get = tables.get
         pins_get = pins.get
         seen_get = seen.get
-        alternates_memo = self._alternates_memo
-        alternates_get = alternates_memo.get
+        alternates_get = self._alternates_memo.get
         resolve_alternates = self._alternates
         final_delay = self._final_delay
         final_delay_get = final_delay.get
-        new_hop = tuple.__new__
-        hop_type = TraceHop
         obj_new = object.__new__
         record_type = TracerouteRecord
         next_trace_id = self._next_trace_id
@@ -293,8 +296,10 @@ class TracerouteEngine:
                 records_append(None)
                 continue
             path_id = id(path)
-            hops: list[TraceHop] = []
-            hops_append = hops.append
+            ips: list[int | None] = []
+            rtts: list[float | None] = []
+            ips_append = ips.append
+            rtts_append = rtts.append
             table = tables_get(path_id)
             if table is not None and pins_get(path_id) is path:
                 # Fast path: render from the precomputed table. The draw
@@ -302,10 +307,11 @@ class TracerouteEngine:
                 # is trace_along's, verbatim — see the determinism note
                 # there. ``x if x > 0.1 else 0.1`` is max(0.1, x) inlined.
                 table_hits += 1
-                entries, last_ttl, last_city, last_cum = table
-                for silent, reply_ip, cumulative_ms, ttl, lost_hop, router_id in entries:
+                entries, last_city, cumulative_ms = table
+                for silent, reply_ip, hop_ms, router_id in entries:
                     if silent or rng_random() < transient_loss_prob:
-                        hops_append(lost_hop)
+                        ips_append(None)
+                        rtts_append(None)
                         continue
                     if rng_random() < third_party_prob:
                         alternates = alternates_get((router_id, reply_ip))
@@ -313,40 +319,34 @@ class TracerouteEngine:
                             alternates = resolve_alternates(router_id, reply_ip)
                         if alternates:
                             reply_ip = rng_choice(alternates)
-                    rtt = cumulative_ms + (-1 + 2 * rng_random()) * rtt_jitter_ms
-                    hops_append(
-                        new_hop(hop_type, (ttl, reply_ip, rtt if rtt > 0.1 else 0.1))
-                    )
-            elif seen_get(path_id) is path:
-                # Second visit: the path repeats, so build its table while
-                # rendering — one walk. ``cumulative_ms`` accumulates by
+                    rtt = hop_ms + (-1 + 2 * rng_random()) * rtt_jitter_ms
+                    ips_append(reply_ip)
+                    rtts_append(rtt if rtt > 0.1 else 0.1)
+            else:
+                # Render straight off the path columns, exactly the
+                # trace_along walk with hoisted bindings. On the path's
+                # second visit the walk also records its table: one tuple
+                # of atoms per hop, whose ``cumulative_ms`` accumulates by
                 # the same float ops in the same order as trace_along, so
                 # the stored values are bit-exact for every later
                 # fast-path render.
                 table_misses += 1
-                entries_list = []
-                entries_append = entries_list.append
+                entries_list = [] if seen_get(path_id) is path else None
                 cumulative_ms = 1.0
-                path_hops = path.hops
-                last_city = path_hops[0].city_code if path_hops else None
-                last_ttl = 0
-                for hop in path_hops:
-                    last_ttl += 1
-                    city = hop.city_code
+                cities = path.hop_cities
+                last_city = cities[0] if cities else None
+                for router_id, city, default_ip in zip(path.hop_routers, cities, path.hop_ips):
                     if city != last_city:
                         cumulative_ms += 2.0 * prop_delay(last_city, city)
                         last_city = city
-                    router_id = hop.router_id
-                    silent = silence.get(router_id)
+                    silent = silence_get(router_id)
                     if silent is None:
                         silent = router_is_silent(router_id)
-                    default_ip = hop.reply_ip
-                    lost_hop = new_hop(hop_type, (last_ttl, None, None))
-                    entries_append(
-                        (silent, default_ip, cumulative_ms, last_ttl, lost_hop, router_id)
-                    )
+                    if entries_list is not None:
+                        entries_list.append((silent, default_ip, cumulative_ms, router_id))
                     if silent or rng_random() < transient_loss_prob:
-                        hops_append(lost_hop)
+                        ips_append(None)
+                        rtts_append(None)
                         continue
                     reply_ip = default_ip
                     if rng_random() < third_party_prob:
@@ -356,58 +356,21 @@ class TracerouteEngine:
                         if alternates:
                             reply_ip = rng_choice(alternates)
                     rtt = cumulative_ms + (-1 + 2 * rng_random()) * rtt_jitter_ms
-                    hops_append(
-                        new_hop(hop_type, (last_ttl, reply_ip, rtt if rtt > 0.1 else 0.1))
-                    )
-                last_cum = cumulative_ms
-                del seen[path_id]
-                tables[path_id] = (tuple(entries_list), last_ttl, last_city, last_cum)
-                pins[path_id] = path
-                if len(tables) > _RENDER_TABLE_SIZE:
-                    evicted = next(iter(tables))
-                    del tables[evicted]
-                    del pins[evicted]
-            else:
-                # First visit: render straight off the path, exactly the
-                # trace_along walk with hoisted bindings — no table work,
-                # so one-shot sweeps pay nothing for the table machinery.
-                table_misses += 1
-                cumulative_ms = 1.0
-                path_hops = path.hops
-                last_city = path_hops[0].city_code if path_hops else None
-                last_ttl = 0
-                for hop in path_hops:
-                    last_ttl += 1
-                    city = hop.city_code
-                    if city != last_city:
-                        cumulative_ms += 2.0 * prop_delay(last_city, city)
-                        last_city = city
-                    router_id = hop.router_id
-                    silent = silence.get(router_id)
-                    if silent is None:
-                        silent = router_is_silent(router_id)
-                    if silent or rng_random() < transient_loss_prob:
-                        hops_append(new_hop(hop_type, (last_ttl, None, None)))
-                        continue
-                    reply_ip = hop.reply_ip
-                    if rng_random() < third_party_prob:
-                        alternates = alternates_get((router_id, reply_ip))
-                        if alternates is None:
-                            alternates = resolve_alternates(router_id, reply_ip)
-                        if alternates:
-                            reply_ip = rng_choice(alternates)
-                    rtt = cumulative_ms + (-1 + 2 * rng_random()) * rtt_jitter_ms
-                    hops_append(
-                        new_hop(hop_type, (last_ttl, reply_ip, rtt if rtt > 0.1 else 0.1))
-                    )
-                last_cum = cumulative_ms
-                seen[path_id] = path
-                if len(seen) > _RENDER_TABLE_SIZE:
-                    del seen[next(iter(seen))]
+                    ips_append(reply_ip)
+                    rtts_append(rtt if rtt > 0.1 else 0.1)
+                if entries_list is None:
+                    seen[path_id] = path
+                    if len(seen) > _RENDER_TABLE_SIZE:
+                        seen.popitem(last=False)
+                else:
+                    del seen[path_id]
+                    tables[path_id] = (tuple(entries_list), last_city, cumulative_ms)
+                    pins[path_id] = path
+                    if len(tables) > _RENDER_TABLE_SIZE:
+                        del pins[tables.popitem(last=False)[0]]
 
             reached = rng_random() < responds_prob
             if reached:
-                cumulative_ms = last_cum
                 if last_city is not None and last_city != dst_city:
                     delay_key = (last_city, dst_city)
                     extra = final_delay_get(delay_key)
@@ -415,15 +378,11 @@ class TracerouteEngine:
                         extra = 2.0 * prop_delay(last_city, dst_city)
                         final_delay[delay_key] = extra
                     cumulative_ms += extra
-                hops_append(
-                    new_hop(
-                        hop_type,
-                        (last_ttl + 1, dst_ip, cumulative_ms + rtt_jitter_ms * rng_random()),
-                    )
-                )
+                ips_append(dst_ip)
+                rtts_append(cumulative_ms + rtt_jitter_ms * rng_random())
 
             # Equivalent to the TracerouteRecord(...) constructor, minus
-            # the nine frozen-dataclass object.__setattr__ calls: the
+            # the ten frozen-dataclass object.__setattr__ calls: the
             # instance dict ends up identical, so equality, field access,
             # repr, and pickling are unchanged.
             record = obj_new(record_type)
@@ -433,7 +392,8 @@ class TracerouteEngine:
                 "src_ip": src_ip,
                 "src_asn": path.src_asn,
                 "dst_ip": dst_ip,
-                "hops": tuple(hops),
+                "hop_ips": tuple(ips),
+                "hop_rtts": tuple(rtts),
                 "reached_destination": reached,
                 "gt_crossed_links": path.crossed_links,
                 "gt_as_path": path.as_path,
@@ -450,8 +410,8 @@ class TracerouteEngine:
         return records
 
     def _alternates(self, router_id: int, probed_ip: int) -> tuple[int, ...]:
-        """Alternate reply interfaces, memoized; same candidate order as
-        :meth:`_third_party_address` builds on every scalar event."""
+        """The router's other interfaces, in fabric order: the candidates
+        of a third-party reply to a probe of ``probed_ip``. Memoized."""
         key = (router_id, probed_ip)
         alternates = self._alternates_memo.get(key)
         if alternates is None:
@@ -473,10 +433,3 @@ class TracerouteEngine:
             verdict = coin.random() < self._config.silent_router_fraction
             self._silence[router_id] = verdict
         return verdict
-
-    def _third_party_address(self, router_id: int, default_ip: int) -> int:
-        interfaces = self._internet.fabric.interfaces_of(router_id)
-        alternates = [iface.ip for iface in interfaces if iface.ip != default_ip]
-        if not alternates:
-            return default_ip
-        return self._rng.choice(alternates)

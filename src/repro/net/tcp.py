@@ -154,7 +154,7 @@ class TCPModel:
 
     def base_rtt_ms(self, path: ForwardingPath) -> float:
         """Propagation + host RTT with empty queues (no diurnal component)."""
-        cities = [hop.city_code for hop in path.hops]
+        cities = path.hop_cities
         one_way = 0.0
         for a, b in zip(cities, cities[1:]):
             if a != b:

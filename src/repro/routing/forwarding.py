@@ -21,6 +21,7 @@ coordinates downstream in :mod:`repro.net`.
 from __future__ import annotations
 
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,37 +48,46 @@ _ABSENT = object()
 
 
 class RouterHop(NamedTuple):
-    """One router on a forwarding path.
+    """A view of one router on a forwarding path (see :attr:`ForwardingPath.hops`).
 
     ``reply_ip`` is the interface that answers traceroute probes: the
     ingress interface of the interdomain link for border crossings, or the
-    router's core interface otherwise. ``entered_via_link`` is the
-    interconnect crossed to reach this router (None inside an AS).
-
-    A NamedTuple for construction speed: path assembly creates several of
-    these per uncached route and tuple construction skips the frozen-
-    dataclass ``object.__setattr__`` per field.
+    router's core interface otherwise.
     """
 
     router_id: int
     asn: int
     city_code: str
     reply_ip: int
-    entered_via_link: int | None
 
 
 @dataclass(frozen=True)
 class ForwardingPath:
-    """Router-level realization of one flow's path."""
+    """Router-level realization of one flow's path.
+
+    The hops are stored as four columns, position ``i`` holding hop ``i``
+    in path order. Each column is an exact tuple of ints or strs, which
+    the cyclic collector stops tracking at its first young collection, so
+    the forwarder's path caches cost it nothing however many hops they
+    hold; one object per hop would stay on every full collection's scan
+    list for its whole life.
+    """
 
     src_asn: int
     dst_asn: int
     as_path: tuple[int, ...]
-    hops: tuple[RouterHop, ...]
+    hop_routers: tuple[int, ...]
+    hop_asns: tuple[int, ...]
+    hop_cities: tuple[str, ...]
+    hop_ips: tuple[int, ...]  # the interface that answers probes
     crossed_links: tuple[int, ...]  # interconnect ids in path order
 
-    def cities(self) -> list[str]:
-        return [hop.city_code for hop in self.hops]
+    @property
+    def hops(self) -> tuple[RouterHop, ...]:
+        """The hops as :class:`RouterHop` views, built on each access."""
+        return tuple(
+            map(RouterHop, self.hop_routers, self.hop_asns, self.hop_cities, self.hop_ips)
+        )
 
 
 def flow_hash(*parts: object) -> int:
@@ -113,25 +123,33 @@ class Forwarder:
         #: LRU: skipping the per-hit reordering is measurably cheaper on
         #: the route hot path, and eviction policy can never change which
         #: path a flow gets — only how often it is recomputed.
-        self._segment_cache: dict[tuple[int, int, str], tuple[Interconnect, ...]] = {}
-        #: (asn, city) → prebuilt core RouterHop (or None when absent).
-        self._core_hop_cache: dict[tuple[int, str], RouterHop | None] = {}
+        #: ``OrderedDict.popitem(last=False)`` evicts in O(1), where
+        #: deleting a plain dict's first key rescans the slots freed by
+        #: earlier evictions.
+        self._segment_cache: OrderedDict[tuple[int, int, str], tuple[Interconnect, ...]] = (
+            OrderedDict()
+        )
+        #: (asn, city) → the core router's (router_id, reply_ip), or None
+        #: when the AS has no core router with an interface there.
+        self._core_hop_cache: dict[tuple[int, str], tuple[int, int] | None] = {}
         #: (asn, city) → (router_id, first-interface ip) access candidates.
         self._access_cache: dict[tuple[int, str], tuple[tuple[int, int], ...]] = {}
         #: (src_asn, dst_asn) → AS path tuple (None = unroutable).
-        self._as_path_cache: dict[tuple[int, int], tuple[int, ...] | None] = {}
+        self._as_path_cache: OrderedDict[tuple[int, int], tuple[int, ...] | None] = (
+            OrderedDict()
+        )
         #: (current_as, next_as, dst_city) → honours-MED coin. The coin is
         #: a pure crc32 of its key, so memoizing it is free of semantics.
         self._egress_memo: dict[tuple[int, int, str], bool] = {}
         #: Fully-resolved flow choices → interned ForwardingPath. Distinct
         #: flows that hash onto the same links share one path object,
         #: which downstream identity-keyed memos (TCP base-RTT) exploit.
-        self._path_cache: dict[tuple, ForwardingPath] = {}
+        self._path_cache: OrderedDict[tuple, ForwardingPath] = OrderedDict()
         #: Whole batch request → interned path. route_flow is a pure
         #: function of its arguments, so repeated sweeps over the same
         #: targets (the batch engine's steady state) skip the per-flow
         #: hash walk entirely. Only successful resolutions are stored.
-        self._flow_memo: dict[tuple, ForwardingPath] = {}
+        self._flow_memo: OrderedDict[tuple, ForwardingPath] = OrderedDict()
 
     @property
     def routing(self) -> BGPRouting:
@@ -205,7 +223,7 @@ class Forwarder:
         if self._segment_cache_size:
             self._path_cache[key] = path
             if len(self._path_cache) > self._segment_cache_size:
-                del self._path_cache[next(iter(self._path_cache))]
+                self._path_cache.popitem(last=False)
         return path
 
     def resolve_paths_batch(
@@ -269,7 +287,7 @@ class Forwarder:
                         pass  # unhashable flow key
                     else:
                         if len(flow_memo) > cache_size:
-                            del flow_memo[next(iter(flow_memo))]
+                            flow_memo.popitem(last=False)
                 continue
             as_path = self._cached_as_path(src_asn, dst_asn)
             if as_path is None:
@@ -363,7 +381,7 @@ class Forwarder:
                     if cache_size:
                         path_cache[key] = path
                         if len(path_cache) > cache_size:
-                            del path_cache[next(iter(path_cache))]
+                            path_cache.popitem(last=False)
                 results[index] = path
                 if cache_size:
                     try:
@@ -372,7 +390,7 @@ class Forwarder:
                         pass  # unhashable flow key
                     else:
                         if len(flow_memo) > cache_size:
-                            del flow_memo[next(iter(flow_memo))]
+                            flow_memo.popitem(last=False)
         return results
 
     def _assemble(
@@ -385,34 +403,52 @@ class Forwarder:
         selected: list[Interconnect],
         access_choice: tuple[int, int] | None,
     ) -> ForwardingPath:
-        """Expand resolved choices into concrete router hops."""
-        hops: list[RouterHop] = []
-        crossed: list[int] = []
-        current_city = src_city
-        self._append_core_hop(hops, src_asn, current_city, None)
+        """Expand resolved choices into the path's hop columns."""
+        routers: list[int] = []
+        asns: list[int] = []
+        cities: list[str] = []
+        ips: list[int] = []
+        core_hop = self._core_hop
 
+        def add_core(asn: int, city: str) -> None:
+            """Append the AS's core router in ``city`` unless it is absent
+            or is already the last hop."""
+            core = core_hop(asn, city)
+            if core is not None and not (routers and routers[-1] == core[0]):
+                routers.append(core[0])
+                asns.append(asn)
+                cities.append(city)
+                ips.append(core[1])
+
+        add_core(src_asn, src_city)
+        current_city = src_city
         for position, link in enumerate(selected):
             current_as = as_path[position]
-            next_as = as_path[position + 1]
+            city = link.city_code
+            if city != current_city:
+                add_core(current_as, city)  # backhaul to the exit metro
             near_router, near_ip, far_router, far_ip = self._orient(link, current_as)
-            if link.city_code != current_city:
-                # Backhaul across the current AS to the exit metro.
-                self._append_core_hop(hops, current_as, link.city_code, None)
-            hops.append(RouterHop(near_router, current_as, link.city_code, near_ip, None))
-            hops.append(RouterHop(far_router, next_as, link.city_code, far_ip, link.link_id))
-            crossed.append(link.link_id)
-            current_city = link.city_code
-
-        self._append_core_hop(hops, dst_asn, dst_city, None)
+            routers += (near_router, far_router)
+            asns += (current_as, as_path[position + 1])
+            cities += (city, city)
+            ips += (near_ip, far_ip)
+            current_city = city
+        add_core(dst_asn, dst_city)
         if access_choice is not None and access_choice[1] != 0:
-            hops.append(RouterHop(access_choice[0], dst_asn, dst_city, access_choice[1], None))
+            routers.append(access_choice[0])
+            asns.append(dst_asn)
+            cities.append(dst_city)
+            ips.append(access_choice[1])
 
         return ForwardingPath(
             src_asn=src_asn,
             dst_asn=dst_asn,
             as_path=tuple(as_path),
-            hops=tuple(hops),
-            crossed_links=tuple(crossed),
+            hop_routers=tuple(routers),
+            hop_asns=tuple(asns),
+            hop_cities=tuple(cities),
+            hop_ips=tuple(ips),
+            crossed_links=tuple(link.link_id for link in selected),
         )
 
     # ------------------------------------------------------------------
@@ -433,48 +469,25 @@ class Forwarder:
         cached = tuple(path) if path is not None else None
         self._as_path_cache[key] = cached
         if len(self._as_path_cache) > self._segment_cache_size:
-            del self._as_path_cache[next(iter(self._as_path_cache))]
+            self._as_path_cache.popitem(last=False)
         return cached
 
-    def _append_core_hop(
-        self, hops: list[RouterHop], asn: int, city: str, link_id: int | None
-    ) -> None:
-        """Append the AS's core router in ``city`` if it has one there."""
+    def _core_hop(self, asn: int, city: str) -> tuple[int, int] | None:
+        """(router_id, reply_ip) of the AS's core router in ``city``, or
+        None when it has no core router with an interface there."""
         key = (asn, city)
-        if self._segment_cache_size and key in self._core_hop_cache:
-            hop = self._core_hop_cache[key]
-        else:
-            hop = self._build_core_hop(asn, city)
-            if self._segment_cache_size:
-                self._core_hop_cache[key] = hop
-        if hop is None:
-            return
-        if hops and hops[-1].router_id == hop.router_id:
-            return
-        if link_id is not None:
-            hop = RouterHop(
-                router_id=hop.router_id,
-                asn=hop.asn,
-                city_code=hop.city_code,
-                reply_ip=hop.reply_ip,
-                entered_via_link=link_id,
-            )
-        hops.append(hop)
-
-    def _build_core_hop(self, asn: int, city: str) -> RouterHop | None:
+        cache = self._core_hop_cache
+        if self._segment_cache_size and key in cache:
+            return cache[key]
+        hop = None
         core = self._internet.fabric.core_router_of(asn, city)
-        if core is None:
-            return None
-        interfaces = self._internet.fabric.interfaces_of(core.router_id)
-        if not interfaces:
-            return None
-        return RouterHop(
-            router_id=core.router_id,
-            asn=asn,
-            city_code=city,
-            reply_ip=interfaces[0].ip,
-            entered_via_link=None,
-        )
+        if core is not None:
+            interfaces = self._internet.fabric.interfaces_of(core.router_id)
+            if interfaces:
+                hop = (core.router_id, interfaces[0].ip)
+        if self._segment_cache_size:
+            cache[key] = hop
+        return hop
 
     def _access_choice(
         self, asn: int, city: str, flow_key: object
@@ -583,7 +596,7 @@ class Forwarder:
         if self._segment_cache_size:
             self._segment_cache[key] = nearest
             if len(self._segment_cache) > self._segment_cache_size:
-                del self._segment_cache[next(iter(self._segment_cache))]
+                self._segment_cache.popitem(last=False)
         return nearest
 
     @staticmethod

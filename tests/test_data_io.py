@@ -1,5 +1,7 @@
 """Round-trip tests for dataset export/import."""
 
+import json
+
 import pytest
 
 from repro.data.ndt_io import (
@@ -17,8 +19,10 @@ from repro.data.topology_io import (
     write_prefix_table,
     write_relationships,
 )
+from repro.measurement.records import TracerouteRecord
 from repro.platforms.campaign import CampaignConfig
 from repro.topology.asgraph import AS, ASGraph, ASRole
+from repro.util.ip import parse_ip
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +88,35 @@ class TestTracerouteRoundTrip:
         assert {l.ip_pair() for l in original.links} == {
             l.ip_pair() for l in reloaded.links
         }
+
+    def test_written_hops_keep_ttl_ip_rtt_objects(self, tmp_path):
+        trace = TracerouteRecord(
+            trace_id=3, timestamp_s=1.5, src_ip=parse_ip("10.0.0.1"), src_asn=1,
+            dst_ip=parse_ip("10.0.0.9"), hop_ips=(parse_ip("10.0.0.2"), None, parse_ip("10.0.0.9")),
+            hop_rtts=(1.25, None, 7.5), reached_destination=True,
+            gt_crossed_links=(), gt_as_path=(),
+        )
+        path = tmp_path / "one.jsonl"
+        write_traceroutes_jsonl([trace], str(path))
+        assert path.read_text() == (
+            '{"trace_id": 3, "timestamp_s": 1.5, "src_ip": "10.0.0.1", "src_asn": 1, '
+            '"dst_ip": "10.0.0.9", "reached_destination": true, "hops": ['
+            '{"ttl": 1, "ip": "10.0.0.2", "rtt_ms": 1.25}, '
+            '{"ttl": 2, "ip": null, "rtt_ms": null}, '
+            '{"ttl": 3, "ip": "10.0.0.9", "rtt_ms": 7.5}]}\n'
+        )
+        assert load_traceroutes_jsonl(str(path)) == [trace]
+
+    @pytest.mark.parametrize("ttls", [(1, 3), (1, 1), (2, 3), (2, 1)],
+                             ids=["skip", "repeat", "late-start", "reversed"])
+    def test_ttls_not_one_to_n_rejected(self, tmp_path, ttls):
+        hops = [{"ttl": ttl, "ip": None, "rtt_ms": None} for ttl in ttls]
+        line = {"trace_id": 41, "timestamp_s": 0.0, "src_ip": "10.0.0.1", "src_asn": 1,
+                "dst_ip": "10.0.0.9", "reached_destination": False, "hops": hops}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(ValueError, match="trace 41"):
+            load_traceroutes_jsonl(str(path))
 
 
 class TestTopologyRoundTrip:

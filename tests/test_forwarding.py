@@ -1,6 +1,6 @@
 """Tests for router-level forwarding: continuity, ECMP, egress policy."""
 
-from collections import Counter
+from collections import Counter, OrderedDict
 
 from repro.routing.bgp import BGPRouting
 from repro.routing.forwarding import Forwarder, flow_hash
@@ -107,3 +107,43 @@ class TestRouteFlow:
                 link = tiny_internet.fabric.interconnect(path.crossed_links[0])
                 cities_used.add(link.city_code)
         assert len(cities_used) >= 2
+
+
+class _InsertLog(OrderedDict):
+    """An OrderedDict that logs every key inserted while absent."""
+
+    def __init__(self):
+        super().__init__()
+        self.inserted = []
+
+    def __setitem__(self, key, value):
+        if key not in self:
+            self.inserted.append(key)
+        super().__setitem__(key, value)
+
+
+class TestCacheEviction:
+    BOUNDED = ("_segment_cache", "_as_path_cache", "_path_cache", "_flow_memo")
+
+    def test_bounded_caches_keep_newest_keys_in_insertion_order(self, tiny_internet):
+        fwd = Forwarder(tiny_internet, BGPRouting(tiny_internet.graph), segment_cache_size=4)
+        logs = {name: _InsertLog() for name in self.BOUNDED}
+        for name, log in logs.items():
+            setattr(fwd, name, log)
+
+        names = ("Level3", "Cox", "Comcast", "ATT")
+        asns = [tiny_internet.as_named(name).asn for name in names]
+        cities = ("atl", "dfw", "nyc", "chi", "lax")
+        for index in range(40):
+            src, dst = asns[index % 4], asns[(index + 1 + index // 4) % 4]
+            src_city, dst_city = cities[index % 5], cities[(index // 5) % 5]
+            fwd.route_flow(src, src_city, dst, dst_city, flow_key=f"r{index}")
+            fwd.resolve_paths_batch([
+                (src, src_city, dst, dst_city, f"b{index}"),
+                (dst, dst_city, src, src_city, f"b{index}"),
+                (dst, dst_city, src, src_city, f"c{index}"),
+            ])
+
+        for name, log in logs.items():
+            assert len(log.inserted) > 4, f"{name} never outgrew its bound"
+            assert list(log) == log.inserted[-4:], name

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matching import match_ndt_to_traceroutes
-from repro.measurement.records import NDTRecord, TraceHop, TracerouteRecord
+from repro.measurement.records import NDTRecord, TracerouteRecord
 
 
 def _ndt(test_id, t, client_ip=100):
@@ -20,7 +20,7 @@ def _ndt(test_id, t, client_ip=100):
 def _trace(trace_id, t, dst_ip=100):
     return TracerouteRecord(
         trace_id=trace_id, timestamp_s=t, src_ip=1, src_asn=1, dst_ip=dst_ip,
-        hops=(TraceHop(1, 5, 1.0),), reached_destination=False,
+        hop_ips=(5,), hop_rtts=(1.0,), reached_destination=False,
         gt_crossed_links=(), gt_as_path=(1, 2),
     )
 

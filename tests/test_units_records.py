@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.measurement.records import NDTRecord, TraceHop, TracerouteRecord
+from repro.measurement.records import NDTRecord, TracerouteRecord
 from repro.util.units import GBPS, KBPS, MBPS, mbps, seconds_to_hours
 
 
@@ -45,30 +45,26 @@ class TestNDTRecord:
 
 
 class TestTracerouteRecord:
-    def _trace(self, hops, reached, dst_ip=99):
+    def _trace(self, ips, rtts, reached, dst_ip=99):
         return TracerouteRecord(
             trace_id=1, timestamp_s=0.0, src_ip=1, src_asn=1, dst_ip=dst_ip,
-            hops=tuple(hops), reached_destination=reached,
+            hop_ips=tuple(ips), hop_rtts=tuple(rtts), reached_destination=reached,
             gt_crossed_links=(), gt_as_path=(1,),
         )
 
     def test_responding_ips_drops_stars(self):
-        trace = self._trace(
-            [TraceHop(1, 10, 1.0), TraceHop(2, None, None), TraceHop(3, 11, 2.0)],
-            reached=False,
-        )
+        trace = self._trace([10, None, 11], [1.0, None, 2.0], reached=False)
         assert trace.responding_ips() == [10, 11]
 
     def test_router_hops_strip_destination_only_when_reached(self):
-        hops = [TraceHop(1, 10, 1.0), TraceHop(2, 99, 2.0)]
-        reached = self._trace(hops, reached=True)
-        assert reached.router_hop_ips() == [10]
-        unreached = self._trace(hops, reached=False)
-        assert unreached.router_hop_ips() == [10, 99]
+        ips, rtts = [10, 99], [1.0, 2.0]
+        reached = self._trace(ips, rtts, reached=True)
+        assert reached.router_hop_ips() == (10,)
+        unreached = self._trace(ips, rtts, reached=False)
+        assert unreached.router_hop_ips() == (10, 99)
 
     def test_router_hops_keep_nonmatching_tail(self):
         # reached flag set but last hop is not the destination address
         # (should not happen, but must not silently drop a router hop).
-        hops = [TraceHop(1, 10, 1.0), TraceHop(2, 55, 2.0)]
-        trace = self._trace(hops, reached=True)
-        assert trace.router_hop_ips() == [10, 55]
+        trace = self._trace([10, 55], [1.0, 2.0], reached=True)
+        assert trace.router_hop_ips() == (10, 55)
