@@ -4,7 +4,7 @@ export PYTHONPATH := src
 # Coverage floor for `make coverage` (core + validate packages).
 COV_FLOOR ?= 75
 
-.PHONY: test test-slow validate validate-smoke fuzz coverage bench experiments suite-check pins-check trace-smoke clean-cache
+.PHONY: test test-slow validate validate-smoke fuzz coverage bench examples experiments suite-check pins-check trace-smoke clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -25,7 +25,8 @@ validate-smoke:
 # Property-based fuzzing with the derandomized CI profile.
 fuzz:
 	HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -q \
-		tests/test_validate_properties.py tests/test_property_util.py
+		tests/test_validate_properties.py tests/test_property_util.py \
+		tests/test_inference_properties.py
 
 # Tier-1 coverage with a floor on the packages the validation layer
 # guards. Needs the pytest-cov dev dependency; fails fast with a hint
@@ -57,6 +58,14 @@ trace-smoke:
 # workload in fresh interpreters, medians of the end-to-end metrics.
 bench:
 	$(PYTHON) layerbench/bench.py
+
+# Every script under examples/, end to end, without the artifact cache;
+# stops at the first one that exits non-zero (~10 s).
+examples:
+	for example in examples/*.py; do \
+		echo "== $$example"; \
+		REPRO_CACHE=0 $(PYTHON) $$example || exit 1; \
+	done
 
 # Every experiment, serially; its stdout is the committed
 # experiments_output.txt.

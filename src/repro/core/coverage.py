@@ -9,18 +9,22 @@ relationships and peers-only, plus the Figure 4 set differences against
 the popular-content borders.
 
 Ownership correction runs once over the union of all trace corpora so the
-denominator and every numerator live in the same inferred topology.
+denominator and every numerator live in the same inferred topology; the
+union is held once as deduplicated hop columns, which MAP-IT, alias
+resolution and bdrmap's border walk all read.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.inference.alias import AliasResolver
-from repro.inference.bdrmap import _first_departure, collect_bdrmap_traces, org_relationship
+from repro.inference.bdrmap import collect_bdrmap_traces, first_departures, org_relationship
 from repro.inference.borders import OriginOracle
-from repro.inference.mapit import MapIt, MapItConfig
+from repro.inference.corpus import TraceCorpus
+from repro.inference.mapit import MapIt
 from repro.measurement.records import TracerouteRecord
 from repro.measurement.traceroute import TraceRequest, TracerouteConfig, TracerouteEngine
 from repro.net.compiled import compile_world
@@ -115,50 +119,50 @@ def coverage_analysis(
     platform_traces: dict[str, list[TracerouteRecord]],
     oracle: OriginOracle,
     alias_resolver: AliasResolver | None = None,
-    mapit_config: MapItConfig | None = None,
 ) -> CoverageReport:
-    """Run the full §5 coverage analysis for one VP."""
-    vp_org = oracle.canonical(vp.asn)
-    # Hop-IP sequences are extracted once per trace and shared between the
-    # MAP-IT corpus and the per-set border walks below.
-    bdrmap_paths: list[tuple[int | None, ...]] = [t.router_hop_ips() for t in bdrmap_traces]
-    platform_paths: dict[str, list[tuple[int | None, ...]]] = {
-        name: [t.router_hop_ips() for t in traces]
-        for name, traces in platform_traces.items()
-    }
-    all_paths: list[tuple[int | None, ...]] = list(bdrmap_paths)
-    for paths in platform_paths.values():
-        all_paths.extend(paths)
+    """Run the full §5 coverage analysis for one VP.
 
-    observed = {ip for path in all_paths for ip in path if ip is not None}
+    Every trace set (bdrmap's, then each platform's) goes into one
+    corpus. MAP-IT corrects ownership over it without extracting links,
+    alias resolution groups its addresses, and one border walk over its
+    distinct sequences serves the denominator and every numerator.
+    """
+    vp_org = oracle.canonical(vp.asn)
+    paths = [t.router_hop_ips() for t in bdrmap_traces]
+    spans: dict[str, tuple[int, int]] = {}
+    for name, traces in platform_traces.items():
+        start = len(paths)
+        paths.extend(t.router_hop_ips() for t in traces)
+        spans[name] = (start, len(paths))
+    corpus = TraceCorpus.of(paths)
+
     # Prefill the oracle's per-address caches for the whole corpus in one
     # vectorized LPM pass — identical values to the trie walk, so this is
     # invisible in results.
-    compile_world(internet).prime_oracle(oracle, observed)
-    ownership = MapIt(oracle, internet.graph, mapit_config).infer(all_paths).ownership
+    compile_world(internet).prime_oracle(oracle, corpus.addresses.tolist())
+    ownership = MapIt(oracle, internet.graph).infer(corpus, links=False).ownership
     resolver = alias_resolver if alias_resolver is not None else AliasResolver(internet)
-    aliases = resolver.resolve(observed)
+    aliases = resolver.resolve(corpus.addresses)
+    near_ips, neighbors = first_departures(corpus, ownership, vp_org, oracle)
 
-    def borders_of(paths: list[tuple[int | None, ...]], name: str) -> BorderSet:
-        as_level: set[int] = set()
-        router_level: set[RouterBorder] = set()
-        for path in paths:
-            crossing = _first_departure(path, ownership, vp_org, oracle)
-            if crossing is None:
-                continue
-            near_ip, _far_ip, neighbor = crossing
-            as_level.add(neighbor)
-            router_level.add((aliases.group(near_ip), neighbor))
+    def borders_of(name: str, start: int, end: int) -> BorderSet:
+        sequences = corpus.inverse[start:end]
+        sequences = sequences[neighbors[sequences] != -1]
+        crossings = np.stack([near_ips[sequences], neighbors[sequences]], axis=1)
+        # Distinct crossings in first-seen order, so the sets fill in the
+        # order a trace-by-trace walk fills them.
+        _distinct, first = np.unique(crossings, axis=0, return_index=True)
+        crossings = crossings[np.sort(first)].tolist()
+        as_level = {neighbor_asn for _near_ip, neighbor_asn in crossings}
+        router_level = {
+            (aliases.group(near_ip), neighbor_asn) for near_ip, neighbor_asn in crossings
+        }
         return BorderSet(
-            name=name,
-            as_level=frozenset(as_level),
-            router_level=frozenset(router_level),
+            name=name, as_level=frozenset(as_level), router_level=frozenset(router_level)
         )
 
-    discovered = borders_of(bdrmap_paths, "bdrmap")
-    reachable = {
-        name: borders_of(platform_paths[name], name) for name in platform_traces
-    }
+    discovered = borders_of("bdrmap", 0, len(bdrmap_traces))
+    reachable = {name: borders_of(name, *spans[name]) for name in platform_traces}
     relationships = {
         neighbor: org_relationship(internet, vp_org, neighbor)
         for neighbor in discovered.as_level

@@ -12,6 +12,8 @@
   step bdrmap depends on).
 * :mod:`borders` — shared utilities: org-collapsed origin lookup and IXP
   address screening.
+* :mod:`corpus` — a traceroute corpus as deduplicated hop columns, the
+  input MAP-IT's passes and bdrmap's border walk run over.
 
 These are measurement-analysis algorithms: they only consume public
 artifacts (traceroutes, prefix tables, relationship and IXP lists), never

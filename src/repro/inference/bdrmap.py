@@ -11,18 +11,22 @@ the router level (distinct border-router/neighbor pairs).
 
 Ownership correction reuses the MAP-IT refinement over the VP's own trace
 corpus — bdrmap's heuristics for borders numbered from the neighbor's
-space serve the same purpose.
+space serve the same purpose. The border walk, :func:`first_departures`,
+runs over the corpus's deduplicated hop columns and is shared with the
+§5 coverage analysis.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections import Counter
+from dataclasses import dataclass
 
-from repro.inference.alias import AliasResolution, AliasResolver
+import numpy as np
+
+from repro.inference.alias import AliasResolver
 from repro.inference.borders import OriginOracle
-from repro.inference.mapit import MapIt, MapItConfig
+from repro.inference.corpus import TraceCorpus
+from repro.inference.mapit import MapIt
 from repro.measurement.records import TracerouteRecord
 from repro.obs.log import get_logger
 from repro.measurement.traceroute import TraceRequest, TracerouteConfig, TracerouteEngine
@@ -46,8 +50,6 @@ class BorderLink:
     neighbor_asn: int  # org-canonical neighbor
     relationship: Relationship | None  # from the VP network's perspective
     observations: int
-    #: A representative (near ip, far ip) crossing for this border.
-    sample_ip_pair: tuple[int, int]
 
 
 @dataclass
@@ -76,9 +78,6 @@ class BdrmapResult:
                 if relationship is None or b.relationship is relationship
             }
         )
-
-    def border_ip_pairs(self) -> set[tuple[int, int]]:
-        return {b.sample_ip_pair for b in self.borders}
 
 
 def collect_bdrmap_traces(
@@ -126,39 +125,36 @@ def run_bdrmap(
     traces: list[TracerouteRecord],
     oracle: OriginOracle,
     alias_resolver: AliasResolver | None = None,
-    mapit_config: MapItConfig | None = None,
 ) -> BdrmapResult:
-    """Analysis phase: infer the VP network's borders from collected traces."""
+    """Analysis phase: infer the VP network's borders from collected traces.
+
+    MAP-IT corrects ownership over the VP's corpus (links are not
+    extracted), the observed addresses are alias-resolved, and every
+    trace's first departure from the VP org is counted per (border
+    router, neighbor org).
+    """
     vp_org_asn = oracle.canonical(vp.asn)
-    ip_paths = [t.router_hop_ips() for t in traces]
-
-    mapit = MapIt(oracle, internet.graph, mapit_config)
-    ownership = mapit.infer(ip_paths).ownership
-
-    observed_ips = {ip for path in ip_paths for ip in path if ip is not None}
+    corpus = TraceCorpus.of(t.router_hop_ips() for t in traces)
+    ownership = MapIt(oracle, internet.graph).infer(corpus, links=False).ownership
     resolver = alias_resolver if alias_resolver is not None else AliasResolver(internet)
-    aliases = resolver.resolve(observed_ips)
+    aliases = resolver.resolve(corpus.addresses)
 
+    near, neighbor = first_departures(corpus, ownership, vp_org_asn, oracle)
+    crossed = np.flatnonzero(neighbor != -1)
     crossings: Counter[tuple[int, int]] = Counter()
-    samples: dict[tuple[int, int], tuple[int, int]] = {}
-    for path in ip_paths:
-        crossing = _first_departure(path, ownership, vp_org_asn, oracle)
-        if crossing is None:
-            continue
-        near_ip, far_ip, neighbor = crossing
-        key = (aliases.group(near_ip), neighbor)
-        crossings[key] += 1
-        samples.setdefault(key, (near_ip, far_ip))
+    for near_ip, neighbor_asn, count in zip(
+        near[crossed].tolist(), neighbor[crossed].tolist(), corpus.counts[crossed].tolist()
+    ):
+        crossings[(aliases.group(near_ip), neighbor_asn)] += count
 
     borders = [
         BorderLink(
             border_group=group,
-            neighbor_asn=neighbor,
-            relationship=org_relationship(internet, vp_org_asn, neighbor),
+            neighbor_asn=neighbor_asn,
+            relationship=org_relationship(internet, vp_org_asn, neighbor_asn),
             observations=count,
-            sample_ip_pair=samples[(group, neighbor)],
         )
-        for (group, neighbor), count in sorted(crossings.items())
+        for (group, neighbor_asn), count in sorted(crossings.items())
     ]
     return BdrmapResult(vp=vp, borders=borders, traces_used=len(traces))
 
@@ -247,38 +243,54 @@ def org_relationship(
     return None
 
 
-def _first_departure(
-    path: Sequence[int | None],
+def first_departures(
+    corpus: TraceCorpus,
     ownership: dict[int, int | None],
     vp_org_asn: int,
     oracle: OriginOracle,
-) -> tuple[int, int, int] | None:
-    """(near ip, far ip, neighbor org) where the trace leaves the VP network.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each distinct sequence of ``corpus`` leaves the VP network.
 
-    Walks to the last responding hop owned by the VP org, then returns the
-    next hop with a known different owner. IXP hops between the border pair
-    are stepped over (the neighbor is whoever owns the far side); a
-    non-response at the boundary aborts — attributing across a gap risks
-    naming a network that is not actually adjacent.
+    Returns ``(near ip, neighbor org)`` int64 arrays over the corpus's
+    distinct sequences, both −1 where a sequence has no departure. The
+    near side is the last responding hop owned by the VP org; the
+    neighbor owns the next hop. IXP hops between the border pair are
+    stepped over; a non-response or an unowned hop at the boundary gives
+    no departure — attributing across a gap risks naming a network that
+    is not actually adjacent.
     """
-    last_inside: int | None = None
-    for index, ip in enumerate(path):
-        if ip is None:
-            continue
-        if ownership.get(ip) == vp_org_asn:
-            last_inside = index
-    if last_inside is None or last_inside == len(path) - 1:
-        return None
-    near_ip = path[last_inside]
-    assert near_ip is not None
-    for far_index in range(last_inside + 1, len(path)):
-        far_ip = path[far_index]
-        if far_ip is None:
-            break  # gap at the boundary: unsafe to attribute
-        if oracle.is_ixp(far_ip):
-            continue
-        owner = ownership.get(far_ip)
-        if owner is not None and owner != vp_org_asn:
-            return near_ip, far_ip, owner
-        break  # unknown ownership immediately past the border: give up
-    return None
+    sequences = len(corpus.counts)
+    near = np.full(sequences, -1, dtype=np.int64)
+    neighbor = np.full(sequences, -1, dtype=np.int64)
+    addresses = corpus.addresses
+    if not len(addresses):
+        return near, neighbor
+    get = ownership.get
+    owner = np.fromiter(
+        (-1 if (asn := get(ip)) is None else asn for ip in addresses.tolist()),
+        dtype=np.int64,
+        count=len(addresses),
+    )
+    hop = corpus.hop_index
+    replied = hop != -1
+    hop_owner = np.where(replied, owner[hop], -1)
+    inside = np.flatnonzero(hop_owner == vp_org_asn)
+    if not len(inside):
+        return near, neighbor
+    # Last hop inside the VP org per sequence, unless it is the final hop.
+    ends = corpus.offsets[1:]
+    slot = np.searchsorted(inside, ends) - 1
+    last = inside[np.maximum(slot, 0)]
+    leaves = np.flatnonzero((slot >= 0) & (last >= corpus.offsets[:-1]) & (last + 1 < ends))
+    last = last[leaves]
+    # The first later hop that is not a responding IXP hop decides: it
+    # must lie in the same sequence, respond and have an owner (past the
+    # last inside hop, any owner is another network).
+    stops = np.flatnonzero(~(replied & corpus.ixp_mask(oracle)[hop]))
+    stop = np.append(stops, len(hop))[np.searchsorted(stops, last + 1)]
+    crosses = stop < ends[leaves]
+    crosses[crosses] = hop_owner[stop[crosses]] != -1
+    leaves, last, stop = leaves[crosses], last[crosses], stop[crosses]
+    near[leaves] = addresses[hop[last]]
+    neighbor[leaves] = hop_owner[stop]
+    return near, neighbor

@@ -29,47 +29,47 @@ Ownership refinement runs in passes until a fixed point:
 Finally, adjacent trace pairs with different corrected owners become
 inferred interdomain IP links, and runs of IXP addresses are collapsed
 into IXP-mediated links between the surrounding networks.
+
+The passes run over deduplicated traces
+(:class:`~repro.inference.corpus.TraceCorpus`): each is one grouped,
+weighted majority vote per direction over the distinct adjacencies, then
+the rules as masks over interface arrays. Every pass re-votes every
+interface — a proposal reads only its own owner and origin, its
+neighbors' owners and static partner flags.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from repro.inference.borders import OriginOracle
+from repro.inference.corpus import TraceCorpus
 from repro.obs.log import get_logger
 from repro.topology.asgraph import ASGraph
 
 _log = get_logger(__name__)
 
-#: Below this corpus size the numpy pass-1 setup costs more than it saves.
-_VECTOR_MIN_INTERFACES = 64
-
-#: Sentinel distinguishing "not memoized" from a memoized None origin.
-_MISSING = object()
-
-#: Shared read-only default for interfaces with no adjacency evidence —
-#: never mutated, so one instance can serve every lookup miss.
-_EMPTY_MAP: dict[int, int] = {}
+#: Owner code of an unowned interface (owners are indices into the
+#: sorted distinct origin ASNs of the corpus).
+_UNOWNED = -1
 
 
-def _same_ptp_subnet(a: int, b: int) -> bool:
-    """True when two addresses form a point-to-point pair.
+def _same_ptp_subnet(a, b):
+    """Whether two addresses form a point-to-point pair.
 
     Either the two addresses of an aligned /31, or the two usable middle
-    addresses of a /30 (base+1, base+2).
+    addresses of a /30 (base+1, base+2). Elementwise on int64 arrays,
+    plain on ints.
     """
-    if a >> 1 == b >> 1:
-        return True
-    if a >> 2 == b >> 2:
-        low = min(a, b) & 0x3
-        high = max(a, b) & 0x3
-        return (low, high) == (1, 2)
-    return False
+    low = a & 3
+    return ((a >> 1) == (b >> 1)) | (
+        ((a >> 2) == (b >> 2)) & ((low ^ (b & 3)) == 3) & (low != 0) & (low != 3)
+    )
 
 
 @dataclass(frozen=True)
@@ -110,16 +110,22 @@ class InferredLink:
 
 @dataclass
 class MapItResult:
-    """Corrected ownership plus the inferred link set."""
+    """Corrected ownership plus the inferred link set.
+
+    ``links`` is None when the inference ran with ``links=False`` — the
+    links were not extracted, which is not the same as none found.
+    """
 
     ownership: dict[int, int | None]
-    links: list[InferredLink]
+    links: list[InferredLink] | None
     passes_used: int
     flips: int
 
     @functools.cached_property
     def _link_index(self) -> dict[tuple[int, int], InferredLink]:
         """ip pair → link, built on first use; a later link on a pair wins."""
+        if self.links is None:
+            raise ValueError("MAP-IT ran with links=False: this result has no links")
         return {link.ip_pair(): link for link in self.links}
 
     def annotate_trace(self, ips: Sequence[int | None]) -> list[tuple[int, InferredLink]]:
@@ -142,6 +148,78 @@ class MapItResult:
         return crossings
 
 
+def _adjacencies(corpus: TraceCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct directed adjacencies of a corpus, in first-seen order:
+    ``(near, far, weight)`` with addresses as indices into
+    ``corpus.addresses`` and weight the number of times traces show the
+    pair. A pair spanning a silent hop could bridge two networks that are
+    not adjacent, which is exactly the artifact MAP-IT refuses to build on.
+    """
+    hop = corpus.hop_index
+    near, far = hop[:-1], hop[1:]
+    adjacent = (near != -1) & (far != -1) & (near != far)
+    starts = corpus.offsets[1:-1]
+    adjacent[starts[(starts > 0) & (starts < len(hop))] - 1] = False  # across two sequences
+    at = np.flatnonzero(adjacent)
+    width = len(corpus.addresses)
+    keys, first, inverse = np.unique(
+        near[at] * width + far[at], return_index=True, return_inverse=True
+    )
+    weight = np.bincount(inverse, weights=corpus.counts[corpus.sequence_of_hops()[at]])
+    order = np.argsort(first)
+    keys = keys[order]
+    return keys // width, keys % width, weight[order].astype(np.int64)
+
+
+class _Neighbors:
+    """One direction's neighbor multisets: CSR rows over interfaces."""
+
+    def __init__(self, rows: np.ndarray, neighbors: np.ndarray, weights: np.ndarray, n: int) -> None:
+        order = np.argsort(rows, kind="stable")
+        self.entry_rows = rows[order]
+        self.neighbors = neighbors[order]
+        self.weights = weights[order]
+        self.starts = np.flatnonzero(np.diff(self.entry_rows, prepend=-1))
+        self.rows = self.entry_rows[self.starts]
+        self.sizes = np.diff(self.starts, append=len(self.entry_rows))
+        self.n = n
+
+    def vote(self, owner: np.ndarray, owner_count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Majority owner per interface and its share of the owned
+        neighbors' observations (a third-party artifact seen once must not
+        cancel what a link's probes normally reveal); ``(_UNOWNED, 0.0)``
+        with no owned neighbor. Ties go to the smallest owner ASN."""
+        major = np.full(self.n, _UNOWNED, dtype=np.int64)
+        share = np.zeros(self.n)
+        if not len(self.rows):
+            return major, share
+        owners = owner[self.neighbors]
+        owned = owners != _UNOWNED
+        total = np.add.reduceat(np.where(owned, self.weights, 0), self.starts)
+        high = np.maximum.reduceat(owners, self.starts)
+        low = np.minimum.reduceat(np.where(owned, owners, owner_count), self.starts)
+        # Most rows are unanimous: the tally is the one owner, share 1.
+        unanimous = (high != _UNOWNED) & (low == high)
+        major[self.rows[unanimous]] = high[unanimous]
+        share[self.rows[unanimous]] = 1.0
+        mixed = (high != _UNOWNED) & (low != high)
+        if mixed.any():
+            entries = np.repeat(mixed, self.sizes) & owned
+            groups, inverse = np.unique(
+                self.entry_rows[entries] * owner_count + owners[entries], return_inverse=True
+            )
+            tally = np.bincount(inverse, weights=self.weights[entries])
+            group_rows = groups // owner_count
+            # Groups run in (row, owner) order, and lexsort is stable: the
+            # first of each row is its highest tally with the smallest owner.
+            order = np.lexsort((-tally, group_rows))
+            best = order[np.diff(group_rows[order], prepend=-1) != 0]
+            winners = group_rows[best]  # the mixed rows, ascending
+            major[winners] = groups[best] % owner_count
+            share[winners] = tally[best] / total[mixed]
+        return major, share
+
+
 class MapIt:
     """The inference engine. One instance is reusable across corpora."""
 
@@ -154,345 +232,135 @@ class MapIt:
         self._oracle = oracle
         self._graph = graph
         self._config = config if config is not None else MapItConfig()
-        # Per-instance memos over the (immutable) oracle and graph. The
-        # origin lookup is a longest-prefix match and the plausibility
-        # test scans sibling pairs; both repeat heavily across passes.
-        self._origin_memo: dict[int, int | None] = {}
-        self._ixp_memo: dict[int, bool] = {}
+        # The plausibility test scans sibling pairs of the (immutable)
+        # oracle and graph; the same pairs recur across passes.
         self._plausible_memo: dict[tuple[int, int | None], bool] = {}
-
-    def _origin(self, ip: int) -> int | None:
-        memo = self._origin_memo
-        val = memo.get(ip, _MISSING)
-        if val is _MISSING:
-            val = self._oracle.origin(ip)
-            memo[ip] = val
-        return val
-
-    def _is_ixp(self, ip: int) -> bool:
-        memo = self._ixp_memo
-        val = memo.get(ip)
-        if val is None:
-            val = self._oracle.is_ixp(ip)
-            memo[ip] = val
-        return val
 
     # ------------------------------------------------------------------
 
-    def infer(self, traces: Sequence[Sequence[int | None]]) -> MapItResult:
+    def infer(
+        self,
+        traces: Sequence[Sequence[int | None]] | TraceCorpus,
+        links: bool = True,
+    ) -> MapItResult:
         """Run the multipass inference over a corpus of hop sequences.
 
         Each trace is the TTL-ordered hop list with ``None`` for
-        non-responses. Only *adjacent* responding hops form evidence pairs:
-        a pair spanning a silent router could bridge two networks that are
-        not actually adjacent, which is exactly the traceroute artifact
-        MAP-IT refuses to build on.
+        non-responses, or a whole corpus already in hop columns. Only
+        *adjacent* responding hops form evidence pairs. ``links=False``
+        skips link extraction for callers that read only ownership; the
+        result's ``links`` is then None.
         """
-        # Adjacency multisets as plain nested dicts: they are only ever
-        # iterated (insertion order — identical to the Counter they
-        # replace, Counter being a dict subclass) and incremented, and the
-        # plain-dict build is measurably cheaper on large corpora.
-        succs: dict[int, dict[int, int]] = {}
-        preds: dict[int, dict[int, int]] = {}
-        pair_counts: Counter[tuple[int, int]] = Counter()
-        succs_get = succs.get
-        preds_get = preds.get
-        for trace in traces:
-            a = None
-            for b in trace:
-                if a is not None and b is not None and a != b:
-                    row = succs_get(a)
-                    if row is None:
-                        row = succs[a] = {}
-                    row[b] = row.get(b, 0) + 1
-                    row = preds_get(b)
-                    if row is None:
-                        row = preds[b] = {}
-                    row[a] = row.get(a, 0) + 1
-                    pair_counts[(a, b)] += 1
-                a = b
+        corpus = traces if isinstance(traces, TraceCorpus) else TraceCorpus.of(traces)
+        near, far, weight = _adjacencies(corpus)
+        on_link = np.zeros(len(corpus.addresses), dtype=bool)
+        on_link[near] = True
+        on_link[far] = True
+        interfaces = np.flatnonzero(on_link)
+        position = np.cumsum(on_link) - 1
+        near, far = position[near], position[far]
+        ips = corpus.addresses[interfaces]
 
-        interfaces = sorted(set(succs) | set(preds))
-        ownership: dict[int, int | None] = {
-            ip: self._origin(ip) for ip in interfaces
-        }
+        # Origins and IXP verdicts, read once per interface.
+        origins = list(map(self._oracle.origin, ips.tolist()))
+        asns = sorted({asn for asn in origins if asn is not None})
+        code = {asn: index for index, asn in enumerate(asns)}
+        origin = np.fromiter(map(code.get, origins, repeat(_UNOWNED)), dtype=np.int64, count=len(ips))
+        ixp = corpus.ixp_mask(self._oracle)[interfaces]
 
-        # Dirty-set refinement: a proposal for ``ip`` depends only on
-        # ``ownership[ip]``, its fixed neighbor multisets, and the
-        # ownership of those neighbors. An interface none of whose inputs
-        # changed in the previous pass would re-propose exactly what it
-        # proposed before (nothing — otherwise it would have flipped), so
-        # after the first full pass only interfaces adjacent to a flip
-        # need re-examination. Proposals are collected against the
-        # previous pass's ownership snapshot, so iteration order over the
-        # (unordered) dirty set cannot affect the outcome.
-        passes = 0
-        total_flips = 0
-        flip_counts: Counter[int] = Counter()
-        dirty: set[int] | None = None  # None = examine everything
-        is_ixp = self._is_ixp
-        propose = self._propose
-        max_flips = self._config.max_flips_per_interface
-        for passes in range(1, self._config.max_passes + 1):
-            if dirty is None and len(interfaces) >= _VECTOR_MIN_INTERFACES:
-                # First pass examines every interface — the majority
-                # tallies vectorize; the rule follow-ups (rare) stay in
-                # Python. Identical proposals to the scalar walk.
-                proposals = self._propose_pass1(interfaces, ownership, preds, succs)
-            else:
-                proposals = {}
-                for ip in (interfaces if dirty is None else dirty):
-                    if is_ixp(ip):
-                        continue  # IXP addresses stay unowned
-                    if flip_counts and flip_counts[ip] >= max_flips:
-                        continue  # frozen: repeated flipping signals ambiguity
-                    proposal = propose(ip, ownership, preds, succs)
-                    if proposal is not None and proposal != ownership[ip]:
-                        proposals[ip] = proposal
-            if not proposals:
-                break
-            ownership.update(proposals)
-            flip_counts.update(proposals.keys())
-            total_flips += len(proposals)
-            dirty = set()
-            for flipped in proposals:
-                dirty.add(flipped)
-                dirty.update(succs.get(flipped, ()))
-                dirty.update(preds.get(flipped, ()))
-
-        links = self._extract_links(traces, pair_counts, ownership)
+        owner, passes, flips = self._refine(ips, near, far, weight, origin, ixp, asns)
+        values = asns + [None]  # owner code -1 reads None
+        ownership = dict(zip(ips.tolist(), map(values.__getitem__, owner.tolist())))
+        found = None
+        if links:
+            found = self._extract_links(corpus, ownership, ips, near, far, weight, owner, asns)
         _log.info(
-            "MAP-IT: %d traces, %d interfaces, %d passes, %d flips, %d links",
-            len(traces), len(interfaces), passes, total_flips, len(links),
+            "MAP-IT: %d traces, %d interfaces, %d passes, %d flips, %s links",
+            len(corpus), len(ips), passes, flips, "no" if found is None else len(found),
         )
-        return MapItResult(
-            ownership=ownership, links=links, passes_used=passes, flips=total_flips
-        )
+        return MapItResult(ownership=ownership, links=found, passes_used=passes, flips=flips)
 
     # ------------------------------------------------------------------
 
-    def _majority(
-        self, neighbors: dict[int, int], ownership: dict[int, int | None]
-    ) -> tuple[int | None, float]:
-        """(majority owner, fraction) over a neighbor multiset.
-
-        Weighted by observation count: a third-party artifact seen once
-        must not cancel the interface a link's probes normally reveal.
-        """
-        ownership_get = ownership.get
-        if len(neighbors) == 1:
-            # Chain interfaces (one distinct neighbor) dominate traceroute
-            # corpora; the tally reduces to that neighbor's owner.
-            for ip, weight in neighbors.items():
-                owner = ownership_get(ip)
-                if owner is None:
-                    return None, 0.0
-                return owner, 1.0
-        counts: dict[int, int] = {}
-        total = 0
-        for ip, weight in neighbors.items():
-            owner = ownership_get(ip)
-            if owner is None:
-                continue
-            counts[owner] = counts.get(owner, 0) + weight
-            total += weight
-        if total == 0:
-            return None, 0.0
-        if len(counts) == 1:
-            # Unanimous neighborhood — the overwhelmingly common case.
-            owner, count = counts.popitem()
-            return owner, count / total
-        # Tie-break on the smallest owner ASN: a pure function of the
-        # count map, so the winner never depends on insertion order.
-        owner, count = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-        return owner, count / total
-
-    def _has_ptp_partner(
-        self, ip: int, neighbors: dict[int, int], origin: int
-    ) -> bool:
-        """True when a neighbor shares this interface's /30-/31 and origin.
-
-        That neighbor is the other end of the point-to-point border subnet,
-        which is the physical signature licensing a boundary flip.
-        """
-        for other in neighbors:
-            if other == ip:
-                continue
-            if _same_ptp_subnet(ip, other) and self._origin(other) == origin:
-                return True
-        return False
-
-    def _propose(
+    def _refine(
         self,
-        ip: int,
-        ownership: dict[int, int | None],
-        preds: dict[int, dict[int, int]],
-        succs: dict[int, dict[int, int]],
-    ) -> int | None:
-        threshold = self._config.majority_threshold
-        pred_set = preds.get(ip, _EMPTY_MAP)
-        pred_major, pred_frac = self._majority(pred_set, ownership)
-        if pred_major is None or pred_frac <= threshold:
-            return None  # both directions must be strong; skip the succ tally
-        succ_set = succs.get(ip, _EMPTY_MAP)
-        succ_major, succ_frac = self._majority(succ_set, ownership)
-        if succ_major is None or succ_frac <= threshold:
-            return None
-        origin = self._origin(ip)
-        current = ownership[ip]
+        ips: np.ndarray,
+        near: np.ndarray,
+        far: np.ndarray,
+        weight: np.ndarray,
+        origin: np.ndarray,
+        ixp: np.ndarray,
+        asns: list[int],
+    ) -> tuple[np.ndarray, int, int]:
+        """Ownership passes to a fixed point: (owner codes, passes, flips)."""
+        n = len(ips)
+        preds = _Neighbors(far, near, weight, n)
+        succs = _Neighbors(near, far, weight, n)
+        # The boundary rule's /30–/31 partner: a neighbor in the same
+        # point-to-point subnet with the same origin. Static, since it
+        # reads origins only.
+        partner = _same_ptp_subnet(ips[near], ips[far]) & (origin[near] == origin[far])
+        pred_partner = np.zeros(n, dtype=bool)
+        pred_partner[far[partner]] = True
+        succ_partner = np.zeros(n, dtype=bool)
+        succ_partner[near[partner]] = True
 
-        # Agreement rule — both directions point at the same owner.
-        if pred_major == succ_major:
-            if pred_major != current and self._plausible(pred_major, origin):
-                return pred_major
-            return None
-
-        # Boundary rule — the interface sits on an interdomain link.
-        if origin is None:
-            return None
-        if origin == pred_major:
-            # Far side of the crossing, numbered from the near AS: the /31
-            # partner is the predecessor border interface.
-            if self._has_ptp_partner(ip, pred_set, origin):
-                candidate = succ_major
-                if candidate != current and self._plausible(candidate, origin):
-                    return candidate
-        elif origin == succ_major:
-            # Near side numbered from the far AS: partner is the successor.
-            if self._has_ptp_partner(ip, succ_set, origin):
-                candidate = pred_major
-                if candidate != current and self._plausible(candidate, origin):
-                    return candidate
-        return None
-
-    def _propose_pass1(
-        self,
-        interfaces: list[int],
-        ownership: dict[int, int | None],
-        preds: dict[int, dict[int, int]],
-        succs: dict[int, dict[int, int]],
-    ) -> dict[int, int]:
-        """Vectorized first refinement pass — same proposals as the scalar
-        walk over every interface.
-
-        On pass 1 ``ownership[ip]`` *is* ``origin(ip)`` (that is how the
-        map is initialized), so the per-interface rule inputs reduce to
-        the two majority tallies plus that one array. Weighted counts are
-        exact integer sums (< 2^53) and the majority fraction divides the
-        same two exactly-represented values the scalar code divides, so
-        thresholds and tie-breaks agree bit-for-bit. Interfaces passing
-        the majority gates go through the original Python rule logic
-        (point-to-point partner, relationship plausibility) one by one.
-        """
-        n = len(interfaces)
-        current = np.fromiter(
-            (
-                -1 if owner is None else owner
-                for owner in (ownership[ip] for ip in interfaces)
-            ),
-            dtype=np.int64,
-            count=n,
-        )
-        is_ixp = self._is_ixp
-        ixp = np.fromiter((is_ixp(ip) for ip in interfaces), dtype=bool, count=n)
-
-        def majority_of(adjacency: dict[int, dict[int, int]]) -> tuple:
-            rows: list[int] = []
-            owners: list[int] = []
-            weights: list[int] = []
-            rows_append = rows.append
-            owners_append = owners.append
-            weights_append = weights.append
-            ownership_get = ownership.get
-            for index, ip in enumerate(interfaces):
-                neighbors = adjacency.get(ip)
-                if not neighbors:
-                    continue
-                for neighbor, weight in neighbors.items():
-                    owner = ownership_get(neighbor)
-                    if owner is None:
-                        continue
-                    rows_append(index)
-                    owners_append(owner)
-                    weights_append(weight)
-            major = np.full(n, -1, dtype=np.int64)
-            frac = np.zeros(n, dtype=np.float64)
-            if not rows:
-                return major, frac
-            row = np.asarray(rows, dtype=np.int64)
-            owner = np.asarray(owners, dtype=np.int64)
-            weight = np.asarray(weights, dtype=np.int64)
-            total = np.bincount(row, weights=weight, minlength=n)
-            # Segment the (row, owner) pairs and sum each segment's weight.
-            order = np.lexsort((owner, row))
-            row_sorted = row[order]
-            owner_sorted = owner[order]
-            starts_mask = np.empty(len(order), dtype=bool)
-            starts_mask[0] = True
-            np.logical_or(
-                row_sorted[1:] != row_sorted[:-1],
-                owner_sorted[1:] != owner_sorted[:-1],
-                out=starts_mask[1:],
+        config = self._config
+        threshold = config.majority_threshold
+        owner = origin.copy()
+        flip_counts = np.zeros(n, dtype=np.int64)
+        passes = 0
+        total_flips = 0
+        for passes in range(1, config.max_passes + 1):
+            pred_major, pred_share = preds.vote(owner, len(asns))
+            succ_major, succ_share = succs.vote(owner, len(asns))
+            # IXP addresses stay unowned; an interface flipped too often is
+            # frozen (repeated flipping signals ambiguous evidence); both
+            # directions must be strong.
+            strong = (
+                ~ixp
+                & (flip_counts < config.max_flips_per_interface)
+                & (pred_major != _UNOWNED)
+                & (pred_share > threshold)
+                & (succ_major != _UNOWNED)
+                & (succ_share > threshold)
             )
-            starts = np.nonzero(starts_mask)[0]
-            seg_row = row_sorted[starts]
-            seg_owner = owner_sorted[starts]
-            seg_count = np.add.reduceat(weight[order], starts)
-            # Scalar tie-break is max by (count, -owner): sort segments by
-            # (row, count desc, owner asc) and keep each row's first.
-            pick = np.lexsort((seg_owner, -seg_count, seg_row))
-            picked_row = seg_row[pick]
-            first_mask = np.empty(len(pick), dtype=bool)
-            first_mask[0] = True
-            first_mask[1:] = picked_row[1:] != picked_row[:-1]
-            chosen = pick[first_mask]
-            winners = seg_row[chosen]
-            major[winners] = seg_owner[chosen]
-            frac[winners] = seg_count[chosen] / total[winners]
-            return major, frac
+            agree = strong & (pred_major == succ_major)
+            candidate = np.full(n, _UNOWNED, dtype=np.int64)
+            # Agreement rule — both directions point at the same owner.
+            rule = agree & (pred_major != owner)
+            candidate[rule] = pred_major[rule]
+            # Boundary rule: the origin sides with one majority. The far
+            # side of a crossing numbered from the near AS has its /31
+            # partner among its predecessors, the near side numbered from
+            # the far AS among its successors.
+            boundary = strong & ~agree & (origin != _UNOWNED)
+            rule = boundary & (origin == pred_major) & pred_partner & (succ_major != owner)
+            candidate[rule] = succ_major[rule]
+            rule = boundary & (origin == succ_major) & succ_partner & (pred_major != owner)
+            candidate[rule] = pred_major[rule]
 
-        pred_major, pred_frac = majority_of(preds)
-        succ_major, succ_frac = majority_of(succs)
-        threshold = self._config.majority_threshold
-        strong = (
-            ~ixp
-            & (pred_major != -1)
-            & (pred_frac > threshold)
-            & (succ_major != -1)
-            & (succ_frac > threshold)
-        )
+            flipped = np.flatnonzero(candidate != _UNOWNED)
+            flipped = flipped[self._plausible_mask(candidate[flipped], origin[flipped], asns)]
+            if not len(flipped):
+                break
+            owner[flipped] = candidate[flipped]
+            flip_counts[flipped] += 1
+            total_flips += len(flipped)
+        return owner, passes, total_flips
 
-        proposals: dict[int, int] = {}
-        plausible = self._plausible
-        has_ptp_partner = self._has_ptp_partner
-
-        # Agreement rule: both directions name the same owner ≠ current.
-        for index in np.nonzero(strong & (pred_major == succ_major) & (pred_major != current))[0]:
-            ip = interfaces[index]
-            candidate = int(pred_major[index])
-            origin = ownership[ip]
-            if plausible(candidate, origin):
-                proposals[ip] = candidate
-
-        # Boundary rule: majorities disagree and the address origin sides
-        # with one of them — flip to the other when the /30-/31 partner
-        # exists and the flip is relationship-plausible.
-        disagree = strong & (pred_major != succ_major) & (current != -1)
-        for index in np.nonzero(disagree & (current == pred_major))[0]:
-            ip = interfaces[index]
-            origin = int(current[index])
-            if has_ptp_partner(ip, preds.get(ip, _EMPTY_MAP), origin):
-                candidate = int(succ_major[index])
-                if candidate != origin and plausible(candidate, origin):
-                    proposals[ip] = candidate
-        for index in np.nonzero(disagree & (current == succ_major))[0]:
-            ip = interfaces[index]
-            origin = int(current[index])
-            if has_ptp_partner(ip, succs.get(ip, _EMPTY_MAP), origin):
-                candidate = int(pred_major[index])
-                if candidate != origin and plausible(candidate, origin):
-                    proposals[ip] = candidate
-        return proposals
+    def _plausible_mask(
+        self, candidates: np.ndarray, origins: np.ndarray, asns: list[int]
+    ) -> np.ndarray:
+        """:meth:`_plausible` per (candidate, origin) code pair, evaluated
+        once per distinct pair."""
+        width = len(asns) + 1
+        keys, inverse = np.unique(candidates * width + origins + 1, return_inverse=True)
+        verdicts = [
+            self._plausible(asns[key // width], asns[key % width - 1] if key % width else None)
+            for key in keys.tolist()
+        ]
+        return np.array(verdicts, dtype=bool)[inverse]
 
     def _plausible(self, candidate: int, origin: int | None) -> bool:
         """Reject flips between networks with no known relationship.
@@ -508,17 +376,11 @@ class MapIt:
         cached = self._plausible_memo.get(key)
         if cached is not None:
             return cached
-        verdict = False
-        if self._oracle.same_org(candidate, origin):
-            verdict = True
-        else:
-            for a in self._oracle.org_members(candidate):
-                for b in self._oracle.org_members(origin):
-                    if self._graph.relationship(a, b) is not None:
-                        verdict = True
-                        break
-                if verdict:
-                    break
+        verdict = self._oracle.same_org(candidate, origin) or any(
+            self._graph.relationship(a, b) is not None
+            for a in self._oracle.org_members(candidate)
+            for b in self._oracle.org_members(origin)
+        )
         self._plausible_memo[key] = verdict
         return verdict
 
@@ -526,78 +388,115 @@ class MapIt:
 
     def _extract_links(
         self,
-        traces: Sequence[Sequence[int | None]],
-        pair_counts: Counter[tuple[int, int]],
+        corpus: TraceCorpus,
         ownership: dict[int, int | None],
+        ips: np.ndarray,
+        near: np.ndarray,
+        far: np.ndarray,
+        weight: np.ndarray,
+        owner: np.ndarray,
+        asns: list[int],
     ) -> list[InferredLink]:
-        links: dict[tuple[int, int], list] = {}
+        """Adjacencies across an ownership change, plus collapsed IXP runs.
 
-        def record(a: int, b: int, owner_a: int, owner_b: int, count: int, via_ixp: bool) -> None:
-            key = (a, b) if a < b else (b, a)
-            entry = links.get(key)
+        Links are keyed by unordered ip pair: the first-seen direction
+        names near and far (and, for an IXP run, the first-seen owners),
+        and observations add up over both directions.
+        """
+        same_org = self._oracle.same_org
+        entries: dict[tuple[int, int], list] = {}
+
+        near_owner, far_owner = owner[near], owner[far]
+        crossing = np.flatnonzero(
+            (near_owner != _UNOWNED) & (far_owner != _UNOWNED) & (near_owner != far_owner)
+        )
+        width = len(asns)
+        owner_pairs, inverse = np.unique(
+            near_owner[crossing] * width + far_owner[crossing], return_inverse=True
+        )
+        siblings = np.array(
+            [same_org(asns[key // width], asns[key % width]) for key in owner_pairs.tolist()],
+            dtype=bool,
+        )
+        crossing = crossing[~siblings[inverse]]
+        low = np.minimum(near[crossing], far[crossing])
+        high = np.maximum(near[crossing], far[crossing])
+        _keys, first, inverse = np.unique(
+            low * len(ips) + high, return_index=True, return_inverse=True
+        )
+        counts = np.bincount(inverse, weights=weight[crossing]).astype(np.int64).tolist()
+        ip_list = ips.tolist()
+        for i, count in zip(crossing[first].tolist(), counts):
+            a, b = ip_list[near[i]], ip_list[far[i]]
+            entries[(a, b) if a < b else (b, a)] = [
+                a, b, asns[near_owner[i]], asns[far_owner[i]], count, False,
+            ]
+
+        for (first_ixp, last_ixp, owner_a, owner_b), count in self._ixp_runs(
+            corpus, ownership
+        ).items():
+            if same_org(owner_a, owner_b):
+                continue
+            key = (first_ixp, last_ixp) if first_ixp < last_ixp else (last_ixp, first_ixp)
+            entry = entries.get(key)
             if entry is None:
-                links[key] = [a, b, owner_a, owner_b, count, via_ixp]
+                entries[key] = [first_ixp, last_ixp, owner_a, owner_b, count, True]
             else:
                 entry[4] += count
-
-        for (a, b), count in pair_counts.items():
-            owner_a = ownership.get(a)
-            owner_b = ownership.get(b)
-            if owner_a is None or owner_b is None or owner_a == owner_b:
-                continue
-            if self._oracle.same_org(owner_a, owner_b):
-                continue
-            record(a, b, owner_a, owner_b, count, via_ixp=False)
-
-        # Collapse IXP-addressed runs: known(A) → ixp... → known(B). A
-        # non-response resets the run — evidence must be gap-free here too.
-        ixp_triples: Counter[tuple[int, int, int, int]] = Counter()
-        is_ixp = self._is_ixp
-        ixp_memo_get = self._ixp_memo.get
-        ownership_get = ownership.get
-        for trace in traces:
-            run_start: int | None = None
-            first_ixp: int | None = None
-            last_ixp: int | None = None
-            for ip in trace:
-                if ip is None:
-                    run_start = None
-                    first_ixp = None
-                    last_ixp = None
-                    continue
-                # Inlined memo read of _is_ixp — by this point nearly
-                # every observed address has a cached verdict.
-                verdict = ixp_memo_get(ip)
-                if verdict is None:
-                    verdict = is_ixp(ip)
-                if verdict:
-                    if first_ixp is None:
-                        first_ixp = ip
-                    last_ixp = ip
-                    continue
-                owner = ownership_get(ip)
-                if first_ixp is not None and run_start is not None and owner is not None:
-                    prev_owner = ownership_get(run_start)
-                    if prev_owner is not None and prev_owner != owner:
-                        ixp_triples[(first_ixp, last_ixp, prev_owner, owner)] += 1
-                first_ixp = None
-                last_ixp = None
-                if owner is not None:
-                    run_start = ip
-        for (first_ixp, last_ixp, owner_a, owner_b), count in ixp_triples.items():
-            if self._oracle.same_org(owner_a, owner_b):
-                continue
-            record(first_ixp, last_ixp, owner_a, owner_b, count, via_ixp=True)
 
         results = [
             InferredLink(
                 near_ip=a, far_ip=b, near_asn=oa, far_asn=ob, observations=n, via_ixp=ixp
             )
-            for a, b, oa, ob, n, ixp in links.values()
+            for a, b, oa, ob, n, ixp in entries.values()
             if n >= self._config.min_link_observations
         ]
         results = self._consolidate(results)
         return sorted(results, key=lambda l: (l.as_pair(), l.ip_pair()))
+
+    def _ixp_runs(
+        self, corpus: TraceCorpus, ownership: dict[int, int | None]
+    ) -> dict[tuple[int, int, int, int], int]:
+        """Collapsed IXP runs: (first ixp, last ixp, owner before, owner
+        after) → traces, in first-seen order.
+
+        known(A) → ixp... → known(B) with A ≠ B. A non-response resets
+        the run; an unowned non-IXP hop ends the IXP run but keeps the
+        last owned hop as the run's start. Only sequences with an IXP hop
+        are scanned.
+        """
+        runs: dict[tuple[int, int, int, int], int] = {}
+        if not len(corpus.addresses):
+            return runs
+        hop = corpus.hop_index
+        at_ixp = (hop != -1) & corpus.ixp_mask(self._oracle)[hop]
+        sequences = np.unique(corpus.sequence_of_hops()[at_ixp])
+        if not len(sequences):
+            return runs
+        addresses = corpus.addresses.tolist()
+        is_ixp = corpus.ixp_mask(self._oracle).tolist()
+        offsets = corpus.offsets
+        for k in sequences.tolist():
+            count = int(corpus.counts[k])
+            run_owner = first_ixp = last_ixp = None
+            for index in hop[offsets[k]:offsets[k + 1]].tolist():
+                if index == -1:
+                    run_owner = first_ixp = last_ixp = None
+                    continue
+                if is_ixp[index]:
+                    if first_ixp is None:
+                        first_ixp = index
+                    last_ixp = index
+                    continue
+                owner = ownership.get(addresses[index])
+                if first_ixp is not None and run_owner is not None and owner is not None:
+                    if run_owner != owner:
+                        key = (addresses[first_ixp], addresses[last_ixp], run_owner, owner)
+                        runs[key] = runs.get(key, 0) + count
+                first_ixp = last_ixp = None
+                if owner is not None:
+                    run_owner = owner
+        return runs
 
     @staticmethod
     def _consolidate(links: list[InferredLink]) -> list[InferredLink]:
@@ -609,17 +508,15 @@ class MapIt:
         also participates in a properly aligned inferred link, the aligned
         link is the physical one and the stray pair is noise.
         """
+        aligned = [link.via_ixp or _same_ptp_subnet(link.near_ip, link.far_ip) for link in links]
         aligned_endpoints: set[int] = set()
-        for link in links:
-            if link.via_ixp or _same_ptp_subnet(link.near_ip, link.far_ip):
+        for link, is_aligned in zip(links, aligned):
+            if is_aligned:
                 aligned_endpoints.add(link.near_ip)
                 aligned_endpoints.add(link.far_ip)
-        kept: list[InferredLink] = []
-        for link in links:
-            aligned = link.via_ixp or _same_ptp_subnet(link.near_ip, link.far_ip)
-            if not aligned and (
-                link.near_ip in aligned_endpoints or link.far_ip in aligned_endpoints
-            ):
-                continue
-            kept.append(link)
-        return kept
+        return [
+            link
+            for link, is_aligned in zip(links, aligned)
+            if is_aligned
+            or not (link.near_ip in aligned_endpoints or link.far_ip in aligned_endpoints)
+        ]
