@@ -88,22 +88,26 @@ suite-check:
 	diff -u suite-check/expected.txt suite-check/actual.txt
 	@echo "suite-check ok: all --jobs 2 matches experiments_output.txt"
 
-# One untraced benchmark repetition each of `campaign` and `coverage` at
-# seeds 7 and 11; every result digest must equal layerbench/pinned.json
-# and every self-check must pass (~1 min). Reads the benchmark's files
-# and changes none of them. Leaves each repetition's JSON in pins-check/.
+# One benchmark repetition each of `campaign` and `coverage` at seeds 7
+# and 11; every result digest must equal layerbench/pinned.json and every
+# self-check must pass (~1 min). The seed-7 repetitions run traced, so the
+# layer self-checks run too: every span a workload requires was called,
+# and every wrapped method still exists. Reads the benchmark's files and
+# changes none of them. Leaves each repetition's JSON in pins-check/.
 pins-check:
 	rm -rf pins-check && mkdir -p pins-check
 	for workload in campaign coverage; do for seed in 7 11; do \
+		if [ $$seed = 7 ]; then traced=--traced; else traced=; fi; \
 		$(PYTHON) layerbench/rep.py $$workload --seed $$seed --jobs 1 --tmp pins-check \
-			> pins-check/$$workload-$$seed.json || exit 1; \
+			$$traced > pins-check/$$workload-$$seed.json || exit 1; \
 	done; done
 	$(PYTHON) -c "import json; pins = json.load(open('layerbench/pinned.json')); \
 	reps = [json.loads(open(f'pins-check/{w}-{s}.json').read().splitlines()[-1]) \
 	        for w in ('campaign', 'coverage') for s in (7, 11)]; \
 	bad = [(r['workload'], r['seed'], r['problems']) for r in reps \
-	       if r['digest'] != pins[r['workload']][str(r['seed'])] or r['problems']]; \
-	print('\\n'.join('%s %s %s' % (r['workload'], r['seed'], r['digest']) for r in reps)); \
+	       if r['digest'] != pins[r['workload']][str(r['seed'])] or r['problems'] \
+	       or r['traced'] != (r['seed'] == 7)]; \
+	print('\\n'.join('%s %s %s traced=%s' % (r['workload'], r['seed'], r['digest'], r['traced']) for r in reps)); \
 	raise SystemExit(f'pins-check failed: {bad}' if bad else 0)"
 	@echo "pins-check ok: campaign and coverage digests match layerbench/pinned.json"
 

@@ -41,29 +41,34 @@ def match_ndt_to_traceroutes(
     """Pair each NDT test with the nearest qualifying traceroute.
 
     ``mode="after"`` accepts only traceroutes started within ``window_s``
-    after the test (the paper's primary rule); ``mode="either"`` accepts a
-    window on both sides. Every traceroute is matched to at most one test
-    (nearest-in-time wins, earlier test on ties), mirroring the one-to-one
-    intent of the association.
+    after the test (the paper's primary rule) and takes the first of them;
+    ``mode="either"`` accepts a window on both sides and takes the nearest
+    in time. Both window edges are inclusive, and ties go to the earlier
+    traceroute, then to the smaller trace id. A traceroute may serve
+    several tests.
     """
     if mode not in ("after", "either"):
         raise ValueError(f"unknown matching mode {mode!r}")
 
-    by_client: dict[int, list[tuple[float, int]]] = defaultdict(list)
+    grouped: dict[int, list[tuple[float, int]]] = defaultdict(list)
     for trace in traceroutes:
-        by_client[trace.dst_ip].append((trace.timestamp_s, trace.trace_id))
-    for entries in by_client.values():
+        grouped[trace.dst_ip].append((trace.timestamp_s, trace.trace_id))
+    # Per client: its traces in time order, and their start times alone
+    # for the bisection.
+    by_client: dict[int, tuple[list[tuple[float, int]], list[float]]] = {}
+    for client_ip, entries in grouped.items():
         entries.sort()
+        by_client[client_ip] = (entries, [t for t, _ in entries])
 
     # The paper's procedure: per client, the *first* traceroute in the
     # window after the test (or the nearest on either side). A traceroute
     # may serve several tests — M-Lab never enforced one trace per test.
     matched: dict[int, int] = {}
     for record in ndt_records:
-        entries = by_client.get(record.client_ip)
-        if not entries:
+        client = by_client.get(record.client_ip)
+        if client is None:
             continue
-        times = [t for t, _ in entries]
+        entries, times = client
         low_time = record.timestamp_s - (window_s if mode == "either" else 0.0)
         high_time = record.timestamp_s + window_s
         start = bisect.bisect_left(times, low_time)

@@ -19,7 +19,6 @@ from repro.core.matching import match_ndt_to_traceroutes
 from repro.core.pipeline import Study, StudyConfig, build_study
 from repro.inference.mapit import MapIt, MapItConfig, MapItResult
 from repro.measurement.records import NDTRecord, TracerouteRecord
-from repro.net.batch import ObserveRequest
 from repro.obs import flowprobe
 from repro.obs.log import get_logger
 from repro.obs.trace import span
@@ -148,7 +147,7 @@ def probe_exemplar_flows(
         _log.warning("no %s-hosted servers to probe against", server_org)
         return 0
     tcp = study.tcp.reseeded(10_007)  # private stream; shared RNG untouched
-    requests = []
+    paths, request_hours, rates, home_factors, keys = [], [], [], [], []
     for org in client_orgs:
         clients = study.population.clients_of(org)
         if not clients:
@@ -165,20 +164,18 @@ def probe_exemplar_flows(
             key = f"{label}:{server_org}->{org}@{hour:04.1f}h"
             if not probe.wants(key):
                 continue
-            requests.append(
-                ObserveRequest(
-                    path=path,
-                    hour=hour,
-                    access_rate_bps=client.plan_rate_bps,
-                    home_factor=client.base_home_factor,
-                    with_noise=False,
-                    probe_key=key,
-                )
-            )
+            paths.append(path)
+            request_hours.append(hour)
+            rates.append(client.plan_rate_bps)
+            home_factors.append(client.base_home_factor)
+            keys.append(key)
     # One batched dispatch; with noise off there is no stream to preserve,
     # and the probe recorder sees the same series in the same order.
-    tcp.observe_batch(requests)
-    recorded = len(requests)
+    tcp.observe_batch(
+        paths, request_hours, rates, home_factors, [0.0] * len(paths),
+        probe_keys=keys, with_noise=[False] * len(paths),
+    )
+    recorded = len(paths)
     _log.info("recorded %d exemplar flow-probe series (%s)", recorded, label)
     return recorded
 

@@ -5,12 +5,11 @@ truth fields that the generator knows but real analysts do not — these are
 used only to validate inference, never as inference inputs).
 """
 
-from repro.measurement.ndt import NDTConfig, NDTRunner
+from repro.measurement.ndt import NDTRunner
 from repro.measurement.records import NDTRecord, TraceHop, TracerouteRecord
 from repro.measurement.traceroute import TracerouteConfig, TracerouteEngine
 
 __all__ = [
-    "NDTConfig",
     "NDTRecord",
     "NDTRunner",
     "TraceHop",

@@ -1,205 +1,179 @@
-"""NDT test execution.
+"""NDT test execution, a block of tests at a time.
 
 One NDT run measures download throughput from a measurement server to a
-client over the server→client forwarding path, through the TCP model. The
-runner does not decide *when* tests happen or *which* server is used —
-that is platform policy (:mod:`repro.platforms.mlab`); it only executes a
-test and emits the record.
+client over the server→client forwarding path, through the TCP model,
+and, when the client measures upstream, upload throughput over the
+client→server path. The runner does not decide *when* tests happen or
+*which* server is used — that is platform policy
+(:mod:`repro.platforms.mlab`); it only executes tests and emits records.
 
-Execution is split into *plan* and *complete* so callers can batch the
-TCP evaluations: :meth:`NDTRunner.plan` routes the flow(s) and assigns
-the test id, :meth:`NDTRunner.complete` turns the TCP observations back
-into an :class:`NDTRecord`. Routing consumes no randomness, so planning
-ahead of evaluation leaves every RNG stream's draw order untouched;
-:meth:`NDTRunner.run` (plan → observe → complete in one call) is
-byte-identical to the historical single-shot implementation.
+A block of tests travels as parallel lists (:class:`NDTBlock`), not as
+per-test objects. :meth:`NDTRunner.plan` routes every test's download and
+upload legs in block order, assigns test ids, and lays out the TCP
+transfers as ``observe_batch``'s argument lists; the caller evaluates
+them with :meth:`~repro.net.tcp.TCPModel.observe_batch`, and
+:meth:`NDTRunner.complete` turns the observed columns into one
+:class:`NDTRecord` per routed test. Routing consumes no randomness, so
+planning a whole block ahead of evaluation leaves every RNG stream's
+draw order what a test-at-a-time loop would produce.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.measurement.records import NDTRecord
-from repro.net.batch import ObserveRequest
-from repro.net.tcp import PathObservation, TCPModel
+from repro.net.tcp import ObservedBatch
 from repro.obs import flowprobe
 from repro.routing.forwarding import Forwarder, ForwardingPath
 
 
-@dataclass(frozen=True)
-class NDTConfig:
-    """NDT execution constants (currently none beyond the TCP model's)."""
+class NDTBlock(NamedTuple):
+    """A block of NDT tests to run: entry ``i`` of every list is test ``i``.
 
-    seed: int = 7
-
-
-@dataclass(frozen=True)
-class ClientEndpoint:
-    """What the NDT runner needs to know about the client side of a test."""
-
-    ip: int
-    asn: int
-    org_name: str
-    city: str
-    plan_rate_bps: float
-    home_factor: float
-    access_loss: float
-    #: Provisioned upstream rate; 0 disables the upstream measurement.
-    upload_rate_bps: float = 0.0
-
-
-@dataclass(frozen=True)
-class ServerEndpoint:
-    """A measurement server able to serve NDT tests."""
-
-    server_id: int
-    ip: int
-    asn: int
-    city: str
-
-
-@dataclass(frozen=True)
-class PlannedTest:
-    """A routed NDT test awaiting its TCP evaluation(s).
-
-    ``requests`` holds the download request and, when the client measures
-    upstream and the reverse path routes, the upload request — in the
-    order their noise draws must be consumed.
+    ``clients`` carry ``ip``, ``asn``, ``org_name`` and ``city`` (a
+    :class:`~repro.platforms.clients.Client`); ``servers`` carry
+    ``server_id``, ``ip``, ``asn`` and ``city`` (an
+    :class:`~repro.platforms.mlab.MLabServer`). The last four lists are
+    the test's drawn conditions; an upload rate of 0 skips the upstream
+    measurement.
     """
 
-    test_id: int
-    client: ClientEndpoint
-    server: ServerEndpoint
-    timestamp_s: float
-    local_hour: float
-    path: ForwardingPath
-    requests: tuple[ObserveRequest, ...]
-    has_upload: bool
+    timestamps_s: list[float]
+    hours: list[float]
+    clients: list
+    servers: list
+    plan_rates_bps: list[float]
+    upload_rates_bps: list[float]
+    home_factors: list[float]
+    access_losses: list[float]
+
+
+class PlannedBlock(NamedTuple):
+    """The tests of a :class:`NDTBlock` that routed, and their transfers.
+
+    ``rows[j]`` is the block index of routed test ``j``; ``test_ids``
+    and ``uploads`` (whether it has an upload transfer) run beside it.
+    ``requests`` holds the positional arguments of ``observe_batch``:
+    each routed test's download transfer, followed by its upload transfer
+    when it has one — the order their noise must be drawn in.
+    """
+
+    block: NDTBlock
+    rows: list[int]
+    test_ids: list[int]
+    uploads: list[bool]
+    requests: tuple[list | None, ...]
 
 
 class NDTRunner:
-    """Executes NDT downloads over an Internet + link-state instance."""
+    """Routes blocks of NDT tests and turns their observed transfers into
+    records; the test ids it hands out run on across blocks."""
 
-    def __init__(self, forwarder: Forwarder, tcp: TCPModel) -> None:
+    def __init__(self, forwarder: Forwarder) -> None:
         self._forwarder = forwarder
-        self._tcp = tcp
         self._next_test_id = 1
 
-    def plan(
-        self,
-        client: ClientEndpoint,
-        server: ServerEndpoint,
-        timestamp_s: float,
-        local_hour: float,
-    ) -> PlannedTest | None:
-        """Route one test and claim its id; None when the client is unreachable.
+    def plan(self, block: NDTBlock) -> PlannedBlock:
+        """Route a block's tests in block order and claim their ids.
 
-        A test id is consumed only when the download path routes — the
-        same rule the single-shot path always had.
+        A test whose download path does not route is dropped and consumes
+        no test id. A test whose upload path does not route keeps its
+        download and reports ``upload_bps == 0``.
         """
+        route_flow = self._forwarder.route_flow
+        # Flow probing is opt-in; keys are only built when a recorder is
+        # active, so the default path allocates none.
+        probe_keys: list | None = [] if flowprobe.active() is not None else None
+        rows: list[int] = []
+        test_ids: list[int] = []
+        uploads: list[bool] = []
+        req_paths: list[ForwardingPath] = []
+        req_hours: list[float] = []
+        req_rates: list[float] = []
+        req_homes: list[float] = []
+        req_losses: list[float] = []
         test_id = self._next_test_id
-        flow_key = ("ndt", test_id, server.server_id, client.ip)
-        path = self._forwarder.route_flow(
-            server.asn, server.city, client.asn, client.city, flow_key
-        )
-        if path is None:
-            return None
-        # Flow probing is opt-in; the key is only built when a recorder
-        # is active so the default path stays allocation-free.
-        probe_key = (
-            ("ndt", client.org_name, test_id)
-            if flowprobe.active() is not None
-            else None
-        )
-        requests = [
-            ObserveRequest(
-                path=path,
-                hour=local_hour,
-                access_rate_bps=client.plan_rate_bps,
-                home_factor=client.home_factor,
-                access_loss=client.access_loss,
-                probe_key=probe_key,
+        for row, (hour, client, server, plan_rate, upload_rate, home, loss) in enumerate(
+            zip(block.hours, block.clients, block.servers, block.plan_rates_bps,
+                block.upload_rates_bps, block.home_factors, block.access_losses)
+        ):
+            path = route_flow(
+                server.asn, server.city, client.asn, client.city,
+                ("ndt", test_id, server.server_id, client.ip),
             )
-        ]
-        has_upload = False
-        if client.upload_rate_bps > 0:
-            # Upstream phase: client → server over the *client's* best path
-            # (forward/reverse routes can differ — §5.1's asymmetry caveat).
-            upstream_path = self._forwarder.route_flow(
-                client.asn, client.city, server.asn, server.city,
-                ("ndt-up", *flow_key[1:]),
-            )
-            if upstream_path is not None:
-                has_upload = True
-                requests.append(
-                    ObserveRequest(
-                        path=upstream_path,
-                        hour=local_hour,
-                        access_rate_bps=client.upload_rate_bps,
-                        home_factor=client.home_factor,
-                        access_loss=client.access_loss,
-                    )
+            if path is None:
+                continue
+            rows.append(row)
+            test_ids.append(test_id)
+            req_paths.append(path)
+            req_hours.append(hour)
+            req_rates.append(plan_rate)
+            req_homes.append(home)
+            req_losses.append(loss)
+            if probe_keys is not None:
+                probe_keys.append(("ndt", client.org_name, test_id))
+            upstream = None
+            if upload_rate > 0:
+                # Upstream phase: client → server over the *client's* best
+                # path (forward/reverse routes can differ — §5.1's
+                # asymmetry caveat).
+                upstream = route_flow(
+                    client.asn, client.city, server.asn, server.city,
+                    ("ndt-up", test_id, server.server_id, client.ip),
                 )
-        self._next_test_id += 1
-        return PlannedTest(
-            test_id=test_id,
-            client=client,
-            server=server,
-            timestamp_s=timestamp_s,
-            local_hour=local_hour,
-            path=path,
-            requests=tuple(requests),
-            has_upload=has_upload,
-        )
+                if upstream is not None:
+                    req_paths.append(upstream)
+                    req_hours.append(hour)
+                    req_rates.append(upload_rate)
+                    req_homes.append(home)
+                    req_losses.append(loss)
+                    if probe_keys is not None:
+                        probe_keys.append(None)
+            uploads.append(upstream is not None)
+            test_id += 1
+        self._next_test_id = test_id
+        requests = (req_paths, req_hours, req_rates, req_homes, req_losses, probe_keys)
+        return PlannedBlock(block, rows, test_ids, uploads, requests)
 
-    def complete(
-        self, planned: PlannedTest, observations: list[PathObservation]
-    ) -> tuple[NDTRecord, ForwardingPath]:
-        """Assemble the record from a planned test's TCP observations."""
-        observation = observations[0]
-        upload_bps = observations[1].throughput_bps if planned.has_upload else 0.0
-        client = planned.client
-        server = planned.server
-        record = NDTRecord(
-            test_id=planned.test_id,
-            timestamp_s=planned.timestamp_s,
-            local_hour=planned.local_hour,
-            client_ip=client.ip,
-            server_id=server.server_id,
-            server_ip=server.ip,
-            server_asn=server.asn,
-            server_city=server.city,
-            download_bps=observation.throughput_bps,
-            rtt_ms=observation.rtt_ms,
-            retx_rate=observation.retx_rate,
-            congestion_signals=observation.congestion_signals,
-            gt_client_asn=client.asn,
-            gt_client_org=client.org_name,
-            gt_crossed_links=planned.path.crossed_links,
-            gt_bottleneck_link=observation.bottleneck_link_id,
-            gt_bottleneck_kind=observation.bottleneck_kind,
-            rtt_min_ms=observation.rtt_min_ms,
-            rtt_max_ms=observation.rtt_max_ms,
-            upload_bps=upload_bps,
-        )
-        return record, planned.path
-
-    def run(
-        self,
-        client: ClientEndpoint,
-        server: ServerEndpoint,
-        timestamp_s: float,
-        local_hour: float,
-    ) -> tuple[NDTRecord, ForwardingPath] | None:
-        """Run one download test; None when the server cannot reach the client.
-
-        Returns the record plus the forwarding path the *NDT flow* took —
-        the path is handed back so the platform can launch the associated
-        Paris traceroute (with its own flow key, hence possibly a different
-        ECMP member).
-        """
-        planned = self.plan(client, server, timestamp_s, local_hour)
-        if planned is None:
-            return None
-        observations = [self._tcp.observe_request(r) for r in planned.requests]
-        return self.complete(planned, observations)
+    def complete(self, planned: PlannedBlock, observed: ObservedBatch) -> list[NDTRecord]:
+        """One record per routed test, from ``observe_batch``'s columns."""
+        block = planned.block
+        timestamps = block.timestamps_s
+        hours = block.hours
+        clients = block.clients
+        servers = block.servers
+        paths = planned.requests[0]
+        (throughput, rtt, retx, signals, bottleneck_link, bottleneck_kind,
+         rtt_min, rtt_max) = observed
+        records: list[NDTRecord] = []
+        slot = 0
+        for row, test_id, has_upload in zip(planned.rows, planned.test_ids, planned.uploads):
+            client = clients[row]
+            server = servers[row]
+            # The constructor, positionally in NDTRecord's field order
+            # (keywords cost a third more per call).
+            records.append(NDTRecord(
+                test_id,
+                timestamps[row],  # timestamp_s
+                hours[row],  # local_hour
+                client.ip,
+                server.server_id,
+                server.ip,
+                server.asn,
+                server.city,
+                throughput[slot],  # download_bps
+                rtt[slot],
+                retx[slot],
+                signals[slot],
+                client.asn,  # gt_client_asn
+                client.org_name,  # gt_client_org
+                paths[slot].crossed_links,  # gt_crossed_links
+                bottleneck_link[slot],
+                bottleneck_kind[slot],
+                rtt_min[slot],
+                rtt_max[slot],
+                throughput[slot + 1] if has_upload else 0.0,  # upload_bps
+            ))
+            slot += 2 if has_upload else 1
+        return records

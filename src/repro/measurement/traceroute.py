@@ -170,71 +170,7 @@ class TracerouteEngine:
         timestamp_s: float,
     ) -> TracerouteRecord:
         """Render an already-computed forwarding path as a traceroute."""
-        config = self._config
-        # Bind the hot names once; the draw sequence below is part of the
-        # determinism contract (silent-router short-circuits the transient
-        # draw, third-party only draws for responsive hops) and must not
-        # be reordered.
-        rng_random = self._rng.random
-        silence = self._silence
-        router_is_silent = self._router_is_silent
-        transient_loss_prob = config.transient_loss_prob
-        third_party_prob = config.third_party_prob
-        rtt_jitter_ms = config.rtt_jitter_ms
-        ips: list[int | None] = []
-        rtts: list[float | None] = []
-        cumulative_ms = 1.0
-        cities = path.hop_cities
-        previous_city = cities[0] if cities else dst_city
-        for router_id, city, default_ip in zip(path.hop_routers, cities, path.hop_ips):
-            if city != previous_city:
-                cumulative_ms += 2.0 * propagation_delay_by_code_ms(previous_city, city)
-                previous_city = city
-            reply_ip: int | None = default_ip
-            silent = silence.get(router_id)
-            if silent is None:
-                silent = router_is_silent(router_id)
-            if silent or rng_random() < transient_loss_prob:
-                reply_ip = None
-            elif rng_random() < third_party_prob:
-                alternates = self._alternates(router_id, default_ip)
-                if alternates:
-                    reply_ip = self._rng.choice(alternates)
-            rtt = None
-            if reply_ip is not None:
-                # Inlined rng.uniform(-1, 1): a + (b - a) * random() with
-                # a=-1, b=1 — bit-identical, minus the method call.
-                rtt = max(0.1, cumulative_ms + (-1 + 2 * rng_random()) * rtt_jitter_ms)
-            ips.append(reply_ip)
-            rtts.append(rtt)
-
-        reached = rng_random() < config.destination_responds_prob
-        if reached:
-            if previous_city != dst_city:
-                cumulative_ms += 2.0 * propagation_delay_by_code_ms(
-                    previous_city, dst_city
-                )
-            # Inlined rng.uniform(0, jitter): 0 + jitter * random().
-            ips.append(dst_ip)
-            rtts.append(cumulative_ms + rtt_jitter_ms * rng_random())
-
-        record = TracerouteRecord(
-            trace_id=self._next_trace_id,
-            timestamp_s=timestamp_s,
-            src_ip=src_ip,
-            src_asn=path.src_asn,
-            dst_ip=dst_ip,
-            hop_ips=tuple(ips),
-            hop_rtts=tuple(rtts),
-            reached_destination=reached,
-            gt_crossed_links=path.crossed_links,
-            gt_as_path=path.as_path,
-        )
-        self._next_trace_id += 1
-        return record
-
-    # ------------------------------------------------------------------
-    # batch path
+        return self._render((path,), (src_ip,), (dst_ip,), (dst_city,), (timestamp_s,))[0]
 
     def trace_batch(
         self, requests: Sequence[TraceRequest]
@@ -243,15 +179,8 @@ class TracerouteEngine:
 
         Byte-identical to calling :meth:`trace` for each request in
         order: path resolution goes through the forwarder's batch
-        resolver (same interned paths), and rendering consumes the
-        engine's artifact stream with exactly the scalar draw sequence —
-        only the per-hop *static* facts (cumulative propagation delay,
-        silent-router verdicts) are precomputed once per interned path
-        instead of once per trace, and every per-record binding is
-        hoisted out of the loop. A path's render table is built on its
-        second visit, *while* rendering, so repeated paths pay no extra
-        walk and one-shot paths (most coverage paths are traced once) pay
-        no table work at all.
+        resolver (same interned paths), and every trace is rendered by
+        the one renderer that :meth:`trace` also uses.
         """
         _BATCH_CALLS.inc()
         _BATCH_REQUESTS.inc(len(requests))
@@ -259,8 +188,39 @@ class TracerouteEngine:
         paths = self._forwarder.resolve_paths_batch(
             [(r.src_asn, r.src_city, r.dst_asn, r.dst_city, r.flow_key) for r in requests]
         )
+        records = self._render(
+            paths,
+            [r.src_ip for r in requests],
+            [r.dst_ip for r in requests],
+            [r.dst_city for r in requests],
+            [r.timestamp_s for r in requests],
+        )
+        _BATCH_WALL.observe(time.perf_counter() - block_start)
+        return records
 
-        # Hot-loop bindings, once per batch instead of once per record.
+    def _render(
+        self,
+        paths: Sequence[ForwardingPath | None],
+        src_ips: Sequence[int],
+        dst_ips: Sequence[int],
+        dst_cities: Sequence[str],
+        timestamps: Sequence[float],
+    ) -> list[TracerouteRecord | None]:
+        """Render traces along resolved paths (None where a path is None).
+
+        Rendering consumes the engine's artifact stream in a fixed draw
+        sequence that is part of the determinism contract: per hop, a
+        silent router draws nothing, a responsive one draws transient
+        loss, then (when it answers) third-party and jitter; then one
+        draw decides whether the destination answers, and one more
+        jitters its reply. Only the per-hop *static* facts (cumulative
+        propagation delay, silent-router verdicts) are precomputed, once
+        per interned path: a path's render table is built on its second
+        visit, *while* rendering, so repeated paths pay no extra walk and
+        one-shot paths (most coverage paths are traced once) pay no table
+        work at all.
+        """
+        # Hot-loop bindings, once per call instead of once per record.
         config = self._config
         rng = self._rng
         rng_random = rng.random
@@ -282,15 +242,14 @@ class TracerouteEngine:
         resolve_alternates = self._alternates
         final_delay = self._final_delay
         final_delay_get = final_delay.get
-        obj_new = object.__new__
         record_type = TracerouteRecord
         next_trace_id = self._next_trace_id
         table_hits = table_misses = 0
 
         records: list[TracerouteRecord | None] = []
         records_append = records.append
-        for (src_ip, _, _, dst_ip, _, dst_city, timestamp_s, _), path in zip(
-            requests, paths
+        for path, src_ip, dst_ip, dst_city, timestamp_s in zip(
+            paths, src_ips, dst_ips, dst_cities, timestamps
         ):
             if path is None:
                 records_append(None)
@@ -302,10 +261,9 @@ class TracerouteEngine:
             rtts_append = rtts.append
             table = tables_get(path_id)
             if table is not None and pins_get(path_id) is path:
-                # Fast path: render from the precomputed table. The draw
-                # sequence (transient-loss, third-party, jitter, reached)
-                # is trace_along's, verbatim — see the determinism note
-                # there. ``x if x > 0.1 else 0.1`` is max(0.1, x) inlined.
+                # Fast path: render from the precomputed table, with the
+                # walk's draw sequence verbatim. ``x if x > 0.1 else 0.1``
+                # is max(0.1, x) inlined.
                 table_hits += 1
                 entries, last_city, cumulative_ms = table
                 for silent, reply_ip, hop_ms, router_id in entries:
@@ -323,13 +281,13 @@ class TracerouteEngine:
                     ips_append(reply_ip)
                     rtts_append(rtt if rtt > 0.1 else 0.1)
             else:
-                # Render straight off the path columns, exactly the
-                # trace_along walk with hoisted bindings. On the path's
-                # second visit the walk also records its table: one tuple
-                # of atoms per hop, whose ``cumulative_ms`` accumulates by
-                # the same float ops in the same order as trace_along, so
-                # the stored values are bit-exact for every later
-                # fast-path render.
+                # Walk the path columns hop by hop. On the path's second
+                # visit the walk also records its table: one tuple of
+                # atoms per hop, whose ``cumulative_ms`` accumulates by
+                # the same float ops in the same order as the walk, so the
+                # stored values are bit-exact for every later fast-path
+                # render. ``-1 + 2 * random()`` is rng.uniform(-1, 1)
+                # inlined, bit for bit.
                 table_misses += 1
                 entries_list = [] if seen_get(path_id) is path else None
                 cumulative_ms = 1.0
@@ -378,35 +336,25 @@ class TracerouteEngine:
                         extra = 2.0 * prop_delay(last_city, dst_city)
                         final_delay[delay_key] = extra
                     cumulative_ms += extra
+                # rng.uniform(0, jitter) inlined: 0 + jitter * random().
                 ips_append(dst_ip)
                 rtts_append(cumulative_ms + rtt_jitter_ms * rng_random())
 
-            # Equivalent to the TracerouteRecord(...) constructor, minus
-            # the ten frozen-dataclass object.__setattr__ calls: the
-            # instance dict ends up identical, so equality, field access,
-            # repr, and pickling are unchanged.
-            record = obj_new(record_type)
-            record.__dict__.update({
-                "trace_id": next_trace_id,
-                "timestamp_s": timestamp_s,
-                "src_ip": src_ip,
-                "src_asn": path.src_asn,
-                "dst_ip": dst_ip,
-                "hop_ips": tuple(ips),
-                "hop_rtts": tuple(rtts),
-                "reached_destination": reached,
-                "gt_crossed_links": path.crossed_links,
-                "gt_as_path": path.as_path,
-            })
+            # The constructor, positionally in field order (keywords cost
+            # a third more per call): trace_id, timestamp_s, src_ip,
+            # src_asn, dst_ip, hop_ips, hop_rtts, reached_destination,
+            # gt_crossed_links, gt_as_path.
+            records_append(record_type(
+                next_trace_id, timestamp_s, src_ip, path.src_asn, dst_ip,
+                tuple(ips), tuple(rtts), reached, path.crossed_links, path.as_path,
+            ))
             next_trace_id += 1
-            records_append(record)
 
         self._next_trace_id = next_trace_id
         if table_hits:
             _TABLE_HITS.inc(table_hits)
         if table_misses:
             _TABLE_MISSES.inc(table_misses)
-        _BATCH_WALL.observe(time.perf_counter() - block_start)
         return records
 
     def _alternates(self, router_id: int, probed_ip: int) -> tuple[int, ...]:

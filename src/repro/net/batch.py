@@ -1,23 +1,22 @@
-"""Batched flow evaluation over precomputed link tables.
+"""Per-(link group, hour) link tables for batched flow evaluation.
 
 The scalar hot path re-evaluates every crossed link's
 :class:`~repro.net.diurnal.DiurnalProfile` four times per transfer (loss,
 queue split, available bandwidth each re-derive utilization). At campaign
-scale that is hundreds of thousands of pure-Python profile evaluations —
-the dominant cost the ISSUE-3 batching work removes.
+scale that is hundreds of thousands of pure-Python profile evaluations.
+:meth:`repro.net.tcp.TCPModel.observe_batch` instead reads link state
+from a :class:`LinkTableSet`: a lazy table of per-(link group, hour)
+link state. Hours are **not quantized**: a cell is evaluated exactly, at
+the precise hour a batch touches, using the very same scalar functions
+(:func:`repro.net.link.loss_rate_at` and friends) the scalar path runs.
+Parallel links in one group share a profile and capacity, so they share
+cells; the four derived quantities come from a single utilization
+evaluation instead of four.
 
-Two pieces live here:
-
-* :class:`ObserveRequest` — one transfer evaluation, fully described. The
-  campaign hot loop plans requests in timestamp order and dispatches them
-  in blocks to :meth:`repro.net.tcp.TCPModel.observe_batch`.
-* :class:`LinkTableSet` — a lazy table of per-(link group, hour) link
-  state. Hours are **not quantized**: a cell is evaluated exactly, at the
-  precise hour a batch touches, using the very same scalar functions
-  (:func:`repro.net.link.loss_rate_at` and friends) the scalar path runs.
-  Parallel links in one group share a profile and capacity, so they share
-  cells; the four derived quantities come from a single utilization
-  evaluation instead of four.
+A batch travels as parallel lists, one entry per transfer (paths, hours,
+access rates, home factors, access losses), not as per-transfer objects;
+``observe_batch`` evaluates them in list order, which is the order the
+noise stream is drawn in.
 
 Byte-identity note: the floating-point surface of the batch engine is
 deliberately tiny. Every transcendental (``exp`` inside the diurnal
@@ -31,7 +30,6 @@ restriction matters: ``np.exp`` and ``ufunc.reduceat`` do *not* match
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp
 
 from repro.net.link import (
@@ -41,7 +39,6 @@ from repro.net.link import (
     queue_delay_ms_at,
 )
 from repro.obs import metrics
-from repro.routing.forwarding import ForwardingPath
 
 _CELLS = metrics.counter("tcp.batch.link_cells_materialized")
 _CELL_HITS = metrics.counter("tcp.batch.link_cell_hits")
@@ -51,25 +48,6 @@ _CELLS_HELD = metrics.gauge("tcp.batch.link_cells_held")
 #: ``standing`` is the saturated-link flag (offered load >= capacity) that
 #: routes the cell's queueing delay into the standing vs transient split.
 Cell = tuple[float, float, bool, float]
-
-
-@dataclass(frozen=True)
-class ObserveRequest:
-    """Everything one NDT-transfer evaluation needs.
-
-    Mirrors the signature of :meth:`repro.net.tcp.TCPModel.observe`; a
-    batch of requests evaluated by ``observe_batch`` is byte-identical to
-    calling ``observe`` once per request in list order (noise draws are
-    consumed from the model's stream in exactly that order).
-    """
-
-    path: ForwardingPath
-    hour: float
-    access_rate_bps: float
-    home_factor: float = 1.0
-    access_loss: float = 0.0
-    with_noise: bool = True
-    probe_key: object = None
 
 
 class LinkTableSet:

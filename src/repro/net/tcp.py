@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.net.batch import LinkTableSet, ObserveRequest
+from repro.net.batch import LinkTableSet
 from repro.net.link import BASE_LOSS, LinkNetwork
 from repro.obs import flowprobe, metrics
 from repro.routing.forwarding import ForwardingPath
@@ -112,6 +112,22 @@ class PathObservation:
     #: Flow RTT extremes (NDT logs the RTT series, so these are public).
     rtt_min_ms: float = 0.0
     rtt_max_ms: float = 0.0
+
+
+class ObservedBatch(NamedTuple):
+    """What :meth:`TCPModel.observe_batch` returns: one list per
+    :class:`PathObservation` field, in that field order, each holding one
+    entry per request in request order. Row ``i`` is therefore
+    ``PathObservation(*(column[i] for column in batch))``."""
+
+    throughput_bps: list[float]
+    rtt_ms: list[float]
+    retx_rate: list[float]
+    congestion_signals: list[int]
+    bottleneck_link_id: list[int | None]
+    bottleneck_kind: list[str]
+    rtt_min_ms: list[float]
+    rtt_max_ms: list[float]
 
 
 class TCPModel:
@@ -272,25 +288,27 @@ class TCPModel:
             rtt_max_ms=rtt_max,
         )
 
-    def observe_request(self, request: ObserveRequest) -> PathObservation:
-        """Scalar evaluation of one :class:`ObserveRequest`."""
-        return self.observe(
-            request.path,
-            request.hour,
-            request.access_rate_bps,
-            home_factor=request.home_factor,
-            access_loss=request.access_loss,
-            with_noise=request.with_noise,
-            probe_key=request.probe_key,
-        )
-
-    def observe_batch(self, requests: Sequence[ObserveRequest]) -> list[PathObservation]:
+    def observe_batch(
+        self,
+        paths: Sequence[ForwardingPath],
+        hours: Sequence[float],
+        access_rates_bps: Sequence[float],
+        home_factors: Sequence[float],
+        access_losses: Sequence[float],
+        probe_keys: Sequence[object] | None = None,
+        with_noise: Sequence[bool] | None = None,
+    ) -> ObservedBatch:
         """Evaluate many transfers at once; byte-identical to ``observe``.
 
-        The contract: ``observe_batch(reqs)`` returns exactly what
-        ``[observe_request(r) for r in reqs]`` would — same floats to the
-        last bit, same noise-stream consumption (gauss then uniform per
-        noisy request, in list order), same metric totals, and flow-probe
+        A batch is a set of parallel lists, entry ``i`` of each holding
+        the same-named argument of ``observe`` for transfer ``i``;
+        ``probe_keys=None`` probes nothing and ``with_noise=None`` draws
+        noise for every transfer. The contract: the returned columns hold
+        exactly what ``observe(paths[i], hours[i], access_rates_bps[i],
+        home_factors[i], access_losses[i], with_noise[i], probe_keys[i])``
+        would return for each ``i`` in turn — same floats to the last bit,
+        same noise-stream consumption (gauss then uniform per noisy
+        transfer, in list order), same metric totals, and flow-probe
         records emitted in the same order. Link state comes from the
         model's :class:`~repro.net.batch.LinkTableSet`, which runs the
         identical scalar per-utilization functions once per (link group,
@@ -298,32 +316,34 @@ class TCPModel:
         the computation (loss combining, RTT assembly, the three ceilings)
         is vectorized with numpy element-wise ops that are correctly
         rounded and therefore bit-equal to the scalar expressions they
-        replace.
+        replace. Every returned value is a Python scalar, never a numpy
+        one.
         """
-        n = len(requests)
+        n = len(paths)
+        columns = [hours, access_rates_bps, home_factors, access_losses]
+        columns += [c for c in (probe_keys, with_noise) if c is not None]
+        if any(len(column) != n for column in columns):
+            raise ValueError("observe_batch needs one entry per path in every column")
         if n == 0:
-            return []
+            return ObservedBatch([], [], [], [], [], [], [], [])
         _BATCHES.inc()
         _BATCH_SIZE.observe(float(n))
         block_start = time.perf_counter()
 
         cell = self._tables.cell
+        path_static = self._path_static
         base_l = [0.0] * n
         standing_l = [0.0] * n
         transient_l = [0.0] * n
         loss_l = [0.0] * n
-        aloss_l = [0.0] * n
-        rate_l = [0.0] * n
-        home_l = [0.0] * n
         inter_l = [0.0] * n
         bott_l: list[int | None] = [None] * n
 
         # Pass 1 (scalar): per-path link aggregation, replicating the
         # exact accumulation order of LinkNetwork.path_loss /
         # path_queue_split_ms / path_available_bps over cached cells.
-        for i, req in enumerate(requests):
-            base_ms, crossed = self._path_static(req.path)
-            hour = req.hour
+        for i, (path, hour) in enumerate(zip(paths, hours)):
+            base_ms, crossed = path_static(path)
             standing = 0.0
             transient = 0.0
             survive = 1.0
@@ -343,9 +363,6 @@ class TCPModel:
             standing_l[i] = standing
             transient_l[i] = transient
             loss_l[i] = 1.0 - survive
-            aloss_l[i] = req.access_loss
-            rate_l[i] = req.access_rate_bps
-            home_l[i] = req.home_factor
             inter_l[i] = best
             bott_l[i] = bottleneck
 
@@ -357,10 +374,10 @@ class TCPModel:
         standing_a = np.asarray(standing_l)
         rtt_a = (base_a + standing_a) + np.asarray(transient_l)
         combined_a = 1.0 - (1.0 - np.asarray(loss_l)) * (
-            1.0 - np.maximum(0.0, np.asarray(aloss_l))
+            1.0 - np.maximum(0.0, np.asarray(access_losses, dtype=float))
         )
-        access_a = np.asarray(rate_l) * np.maximum(
-            0.05, np.minimum(1.0, np.asarray(home_l))
+        access_a = np.asarray(access_rates_bps, dtype=float) * np.maximum(
+            0.05, np.minimum(1.0, np.asarray(home_factors, dtype=float))
         )
         loss_m = np.maximum(combined_a, BASE_LOSS)
         rtt_s = np.maximum(1e-4, rtt_a / 1000.0)
@@ -373,34 +390,35 @@ class TCPModel:
         thr_l = thr_a.tolist()
 
         # Pass 3 (scalar, in request order): classification, the noise
-        # stream, per-record metrics, probes, and result assembly.
+        # stream, per-record metrics, probes, and the output columns.
         rng = self._rng
         sigma = cfg.throughput_noise_sigma
         duration = cfg.test_duration_s
         mss_bits = cfg.mss_bytes * 8.0
         tff = cfg.transient_floor_fraction
-        probe = flowprobe.active()
+        probe = flowprobe.active() if probe_keys is not None else None
+        noisy_l = with_noise if with_noise is not None else [True] * n
         total_signals = 0
         floored_count = 0
-        retx_l: list[float] = []
-        results: list[PathObservation] = []
-        for i, req in enumerate(requests):
+        out = ObservedBatch([], rtt_l, [], [], [], [], [], [])
+        (thr_out, _, retx_out, signals_out, bott_out, kind_out,
+         rtt_min_out, rtt_max_out) = out
+        for i, noisy in enumerate(noisy_l):
             throughput = thr_l[i]
             loss = combined_l[i]
             rtt_ms = rtt_l[i]
             kind, bottleneck = classify_bottleneck(
                 throughput, access_cl[i], inter_l[i], bott_l[i]
             )
-            if req.with_noise:
+            if noisy:
                 noise = math.exp(rng.gauss(0.0, sigma))
-                throughput = min(throughput * noise, req.access_rate_bps)
+                throughput = min(throughput * noise, access_rates_bps[i])
             floored = throughput < 10_000.0
             throughput = max(throughput, 10_000.0)
-            retx = min(0.5, loss * (1.0 + (0.2 * rng.random() if req.with_noise else 0.0)))
+            retx = min(0.5, loss * (1.0 + (0.2 * rng.random() if noisy else 0.0)))
             packets = throughput * duration / mss_bits
             signals = int(round(retx * packets))
             total_signals += signals
-            retx_l.append(retx)
             if floored:
                 floored_count += 1
 
@@ -408,40 +426,37 @@ class TCPModel:
             self_buffer = cfg.access_buffer_ms if kind == "access" else 2.0
             rtt_max = rtt_ms + self_buffer
 
-            if probe is not None and req.probe_key is not None and probe.wants(req.probe_key):
-                probe.record(
-                    req.probe_key,
-                    throughput_bps=throughput,
-                    rtt_min_ms=rtt_min,
-                    rtt_max_ms=rtt_max,
-                    access_limited=(kind == "access"),
-                    mss_bytes=cfg.mss_bytes,
-                    duration_s=cfg.test_duration_s,
-                    meta={
-                        "hour": round(req.hour, 2),
-                        "bottleneck": kind,
-                        "loss": round(loss, 5),
-                        "rtt_ms": round(rtt_ms, 3),
-                    },
-                )
+            if probe is not None:
+                probe_key = probe_keys[i]
+                if probe_key is not None and probe.wants(probe_key):
+                    probe.record(
+                        probe_key,
+                        throughput_bps=throughput,
+                        rtt_min_ms=rtt_min,
+                        rtt_max_ms=rtt_max,
+                        access_limited=(kind == "access"),
+                        mss_bytes=cfg.mss_bytes,
+                        duration_s=cfg.test_duration_s,
+                        meta={
+                            "hour": round(hours[i], 2),
+                            "bottleneck": kind,
+                            "loss": round(loss, 5),
+                            "rtt_ms": round(rtt_ms, 3),
+                        },
+                    )
 
-            results.append(
-                PathObservation(
-                    throughput_bps=throughput,
-                    rtt_ms=rtt_ms,
-                    retx_rate=retx,
-                    congestion_signals=signals,
-                    bottleneck_link_id=bottleneck,
-                    bottleneck_kind=kind,
-                    rtt_min_ms=rtt_min,
-                    rtt_max_ms=rtt_max,
-                )
-            )
+            thr_out.append(throughput)
+            retx_out.append(retx)
+            signals_out.append(signals)
+            bott_out.append(bottleneck)
+            kind_out.append(kind)
+            rtt_min_out.append(rtt_min)
+            rtt_max_out.append(rtt_max)
 
         _FLOWS.inc(n)
-        _RETX_RATE.observe_many(retx_l)
+        _RETX_RATE.observe_many(retx_out)
         _SIGNALS.inc(total_signals)
         if floored_count:
             _TIMEOUTS.inc(floored_count)
         _BATCH_WALL.observe(time.perf_counter() - block_start)
-        return results
+        return out

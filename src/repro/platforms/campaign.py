@@ -9,20 +9,25 @@ skips when still busy, producing the incomplete NDT↔traceroute matching
 of §4.1.
 
 Tests are executed in timestamp order so daemon contention is physical,
-not an artifact of generation order.
+not an artifact of generation order. The schedule is kept as columns
+(times, clients, servers), and each block of events runs as parallel
+lists through :meth:`~repro.measurement.ndt.NDTRunner.plan`,
+:meth:`~repro.net.tcp.TCPModel.observe_batch` and
+:meth:`~repro.measurement.ndt.NDTRunner.complete`, so no per-test object
+outlives its block except the records themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.measurement.ndt import ClientEndpoint, NDTRunner
+from repro.measurement.ndt import NDTBlock, NDTRunner
 from repro.measurement.records import NDTRecord, TracerouteRecord
 from repro.measurement.traceroute import TracerouteEngine
 from repro.net.diurnal import crowdsourced_test_intensity
+from repro.net.tcp import TCPModel
 from repro.obs import metrics
 from repro.obs.log import get_logger
-from repro.net.tcp import TCPModel
 from repro.platforms.clients import Client, ClientPopulation
 from repro.platforms.mlab import MLabPlatform, MLabServer
 from repro.routing.forwarding import Forwarder
@@ -38,11 +43,11 @@ _TESTS = metrics.counter("campaign.ndt_tests")
 _TRACES = metrics.counter("campaign.traceroutes")
 _LOST_TRACES = metrics.counter("campaign.traces_lost_to_busy_daemon")
 
-#: Events per TCP evaluation block. Within a block, tests are still
-#: planned and completed strictly in timestamp order; only the TCP
-#: arithmetic is dispatched in bulk. Blocks bound peak memory and keep
-#: the batch hot in cache; the exact size never affects output because
-#: ``observe_batch`` preserves the noise stream's draw order.
+#: Events per block. Within a block, tests are still planned and
+#: completed strictly in timestamp order; only the TCP arithmetic is
+#: dispatched in bulk. Blocks bound peak memory and keep the batch hot in
+#: cache; the exact size never affects output because ``observe_batch``
+#: preserves the noise stream's draw order.
 _EVENT_BLOCK = 1024
 
 
@@ -92,7 +97,7 @@ def run_ndt_campaign(
     if config is None:
         config = CampaignConfig()
     rng = derive_random(config.seed, "campaign")
-    runner = NDTRunner(forwarder, tcp)
+    runner = NDTRunner(forwarder)
     engine = traceroute_engine if traceroute_engine is not None else TracerouteEngine(
         internet, forwarder
     )
@@ -112,16 +117,18 @@ def run_ndt_campaign(
     # Each session expands into per-test events up front; the whole event
     # list is then executed in global time order so the single-threaded
     # traceroute daemons see arrivals exactly as wall-clock would deliver
-    # them (bursts from different sessions interleave).
-    events: list[tuple[float, Client, MLabServer]] = []
-    scheduled_tests = 0
-    while scheduled_tests < config.total_tests:
+    # them (bursts from different sessions interleave). Events are three
+    # parallel columns, put in time order by one stable sort.
+    times: list[float] = []
+    event_clients: list[Client] = []
+    event_servers: list[MLabServer] = []
+    while len(times) < config.total_tests:
         org = rng.choices(orgs, weights=weights, k=1)[0]
         client = rng.choice(clients_by_org[org])
         n_tests = 1
         if rng.random() < config.burst_prob:
             n_tests = rng.randint(*config.burst_tests)
-        n_tests = min(n_tests, config.total_tests - scheduled_tests)
+        n_tests = min(n_tests, config.total_tests - len(times))
         day = rng.randrange(config.days)
         hour = _sample_local_hour(rng)
         now = day * _SECONDS_PER_DAY + hour * 3600.0 + rng.uniform(0, 59)
@@ -137,80 +144,82 @@ def run_ndt_campaign(
                 server = rng.choice(platform.servers_at(site))
             else:
                 server = platform.select_server(client.city, rng, config.selection_policy)
-            events.append((now, client, server))
+            times.append(now)
+            event_clients.append(client)
+            event_servers.append(server)
             now += rng.uniform(*config.burst_gap_s)
-        scheduled_tests += n_tests
-    events.sort(key=lambda e: e[0])
+    order = sorted(range(len(times)), key=times.__getitem__)
+    times = [times[i] for i in order]
+    event_clients = [event_clients[i] for i in order]
+    event_servers = [event_servers[i] for i in order]
 
     # --- execute in time order ------------------------------------------
     _log.info(
         "campaign start: %d tests over %d days across %d orgs (seed=%d)",
         config.total_tests, config.days, len(orgs), config.seed,
     )
-    # Blocked execution: plan (draw conditions + route) every event of a
-    # block in timestamp order, evaluate all the block's TCP transfers in
-    # one observe_batch call, then complete records and run the daemon /
-    # traceroute machinery — still in timestamp order. Each RNG stream's
-    # internal draw order is exactly what the per-event loop produced
-    # (campaign draws in the plan phase, TCP noise inside the batch,
-    # daemon and traceroute draws in the completion phase), so records
-    # are byte-identical to unblocked execution.
+    # Blocked execution: per block of events, draw every test's conditions
+    # in timestamp order, route the block (NDTRunner.plan), evaluate all
+    # its TCP transfers in one observe_batch call, build the records
+    # (NDTRunner.complete), then run the daemon and the Paris traceroute
+    # per test, still in timestamp order. Each RNG stream's draw order is
+    # exactly what a test-at-a-time loop produces (campaign draws for the
+    # conditions, TCP noise inside the batch, daemon and traceroute draws
+    # per test after it; routing draws nothing), so records are
+    # byte-identical to unblocked execution. The block travels as parallel
+    # lists: no per-test object lives across the block except the records.
     ndt_records: list[NDTRecord] = []
     traceroutes: list[TracerouteRecord] = []
-    for start in range(0, len(events), _EVENT_BLOCK):
-        block = events[start:start + _EVENT_BLOCK]
-        planned_tests = []
-        for now, client, server in block:
+    lost_traces = 0
+    for start in range(0, len(times), _EVENT_BLOCK):
+        stop = start + _EVENT_BLOCK
+        block_times = times[start:stop]
+        block_clients = event_clients[start:stop]
+        block_servers = event_servers[start:stop]
+        hours: list[float] = []
+        plan_rates: list[float] = []
+        upload_rates: list[float] = []
+        home_factors: list[float] = []
+        access_losses: list[float] = []
+        for now, client in zip(block_times, block_clients):
             local_hour = (now % _SECONDS_PER_DAY) / 3600.0
             conditions = population.draw_conditions(client, local_hour, rng)
-            endpoint = ClientEndpoint(
-                ip=client.ip,
-                asn=client.asn,
-                org_name=client.org_name,
-                city=client.city,
-                plan_rate_bps=conditions.effective_plan_bps,
-                home_factor=conditions.home_factor,
-                access_loss=conditions.access_loss,
-                upload_rate_bps=conditions.effective_upload_bps,
-            )
-            planned = runner.plan(
-                endpoint, server.endpoint(), timestamp_s=now, local_hour=local_hour
-            )
-            if planned is not None:
-                planned_tests.append((planned, server))
+            hours.append(local_hour)
+            plan_rates.append(conditions.effective_plan_bps)
+            upload_rates.append(conditions.effective_upload_bps)
+            home_factors.append(conditions.home_factor)
+            access_losses.append(conditions.access_loss)
+        planned = runner.plan(NDTBlock(
+            block_times, hours, block_clients, block_servers,
+            plan_rates, upload_rates, home_factors, access_losses,
+        ))
+        records = runner.complete(planned, tcp.observe_batch(*planned.requests))
+        ndt_records.extend(records)
 
-        observations = tcp.observe_batch(
-            [req for planned, _ in planned_tests for req in planned.requests]
-        )
-
-        cursor = 0
-        for planned, server in planned_tests:
-            n_requests = len(planned.requests)
-            record, _path = runner.complete(
-                planned, observations[cursor:cursor + n_requests]
-            )
-            cursor += n_requests
-            ndt_records.append(record)
-            test_end = planned.timestamp_s + config.test_duration_s
+        for record, row in zip(records, planned.rows):
+            server = block_servers[row]
+            test_end = record.timestamp_s + config.test_duration_s
             if platform.daemon_try_acquire(server.site, test_end) is None:
-                _LOST_TRACES.inc()
-            else:
-                trace = engine.trace(
-                    src_ip=server.ip,
-                    src_asn=server.asn,
-                    src_city=server.city,
-                    dst_ip=planned.client.ip,
-                    dst_asn=planned.client.asn,
-                    dst_city=planned.client.city,
-                    timestamp_s=test_end + 1.0,
-                    flow_key=("paris", server.site, planned.client.ip, record.test_id),
-                )
-                if trace is not None:
-                    traceroutes.append(trace)
+                lost_traces += 1
+                continue
+            client = block_clients[row]
+            trace = engine.trace(
+                src_ip=server.ip,
+                src_asn=server.asn,
+                src_city=server.city,
+                dst_ip=client.ip,
+                dst_asn=client.asn,
+                dst_city=client.city,
+                timestamp_s=test_end + 1.0,
+                flow_key=("paris", server.site, client.ip, record.test_id),
+            )
+            if trace is not None:
+                traceroutes.append(trace)
 
     _CAMPAIGNS.inc()
     _TESTS.inc(len(ndt_records))
     _TRACES.inc(len(traceroutes))
+    _LOST_TRACES.inc(lost_traces)
     _log.info(
         "campaign done: %d NDT records, %d traceroutes (%d lost to busy daemons)",
         len(ndt_records), len(traceroutes), len(ndt_records) - len(traceroutes),

@@ -16,9 +16,8 @@ May-2015 NDT tests have a matching traceroute in a 10-minute window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.measurement.ndt import ServerEndpoint
 from repro.topology.asgraph import ASRole
 from repro.topology.geo import city_by_code, geo_distance_km
 from repro.topology.internet import Internet
@@ -35,9 +34,6 @@ class MLabServer:
     asn: int
     city: str
     ip: int
-
-    def endpoint(self) -> ServerEndpoint:
-        return ServerEndpoint(server_id=self.server_id, ip=self.ip, asn=self.asn, city=self.city)
 
 
 @dataclass(frozen=True)

@@ -68,30 +68,37 @@ def study_configs():
 
 
 def observe_requests(paths, max_size: int = 12):
-    """Batches of :class:`~repro.net.batch.ObserveRequest` over real paths.
+    """Batches of ``TCPModel.observe_batch`` arguments over real paths.
 
+    Each drawn batch is the tuple ``(paths, hours, access_rates_bps,
+    home_factors, access_losses, probe_keys, with_noise)`` of parallel
+    lists, one entry per transfer (``probe_keys`` is None: no probes).
     ``paths`` is a non-empty sequence of :class:`ForwardingPath` objects
     from an already-built world; hours deliberately range outside a
     campaign's 0–24 window (negative and multi-day) because the batch
     tables must behave there too.
     """
     _require_hypothesis()
-    from repro.net.batch import ObserveRequest
 
     if not paths:
         raise ValueError("observe_requests needs at least one forwarding path")
-    request = st.builds(
-        ObserveRequest,
-        path=st.sampled_from(list(paths)),
-        hour=st.floats(min_value=-48.0, max_value=200.0,
-                       allow_nan=False, allow_infinity=False),
-        access_rate_bps=st.one_of(
+    request = st.tuples(
+        st.sampled_from(list(paths)),
+        st.floats(min_value=-48.0, max_value=200.0,
+                  allow_nan=False, allow_infinity=False),
+        st.one_of(
             st.sampled_from((5e6, 25e6, 100e6)),
             st.floats(min_value=1e5, max_value=2e8,
                       allow_nan=False, allow_infinity=False),
         ),
-        home_factor=st.floats(min_value=0.2, max_value=1.0),
-        access_loss=st.floats(min_value=0.0, max_value=0.05),
-        with_noise=st.booleans(),
+        st.floats(min_value=0.2, max_value=1.0),
+        st.floats(min_value=0.0, max_value=0.05),
+        st.booleans(),
     )
-    return st.lists(request, min_size=0, max_size=max_size)
+
+    def as_columns(requests):
+        columns = [list(column) for column in zip(*requests)] or [[] for _ in range(6)]
+        *arguments, with_noise = columns
+        return (*arguments, None, with_noise)
+
+    return st.lists(request, min_size=0, max_size=max_size).map(as_columns)

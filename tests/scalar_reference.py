@@ -1,23 +1,44 @@
-"""Scalar reference implementations of the §5 inference passes.
+"""Scalar reference implementations that the equivalence tests compare against.
 
 ``repro.inference`` runs MAP-IT, bdrmap's first-departure border walk
-and alias grouping as array passes over deduplicated hop columns. These
-are the same algorithms written one interface, one trace and one
-address at a time, as they were first implemented; the equivalence
-tests and the property test hold the array passes equal to them.
-Nothing in ``src`` imports this module.
+and alias grouping as array passes over deduplicated hop columns. The
+first half of this module holds the same algorithms written one
+interface, one trace and one address at a time, as they were first
+implemented.
+
+``repro.platforms.campaign`` runs the §4 campaign a block of events at a
+time as parallel lists, ``TCPModel.observe_batch`` evaluates transfers
+as columns, and ``TracerouteEngine`` renders every trace through one
+table-backed renderer. The second half holds the test-at-a-time
+campaign loop they replaced: per-test ``plan``/``complete`` over one
+:class:`ObserveRequest` per transfer, scalar ``TCPModel.observe`` per
+request, and the hop-by-hop traceroute walk.
+
+The equivalence tests and the property tests hold the fast paths equal
+to these. Nothing in ``src`` imports this module.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.coverage import BorderSet, CoverageReport
 from repro.inference.bdrmap import BdrmapResult, BorderLink, org_relationship
 from repro.inference.borders import OriginOracle
 from repro.inference.mapit import InferredLink, MapItConfig, MapItResult
+from repro.measurement.records import NDTRecord, TracerouteRecord
+from repro.net.tcp import ObservedBatch, PathObservation
+from repro.platforms.campaign import (
+    _SECONDS_PER_DAY,
+    CampaignConfig,
+    CampaignResult,
+    _sample_local_hour,
+)
+from repro.routing.forwarding import ForwardingPath
 from repro.topology.asgraph import ASGraph
+from repro.topology.geo import propagation_delay_by_code_ms
 from repro.util.rng import derive_random
 
 #: Sentinel distinguishing "not memoized" from a memoized None origin.
@@ -411,3 +432,319 @@ def coverage_analysis(internet, vp, bdrmap_traces, platform_traces, oracle) -> C
     return CoverageReport(
         vp=vp, discovered=discovered, reachable=reachable, relationships=relationships
     )
+
+
+# --- §4: the test-at-a-time campaign ------------------------------------------
+
+
+@dataclass(frozen=True)
+class ObserveRequest:
+    """Everything one transfer evaluation needs: the arguments of
+    ``TCPModel.observe``."""
+
+    path: ForwardingPath
+    hour: float
+    access_rate_bps: float
+    home_factor: float = 1.0
+    access_loss: float = 0.0
+    with_noise: bool = True
+    probe_key: object = None
+
+
+def observe_request(model, request: ObserveRequest) -> PathObservation:
+    """Scalar evaluation of one request."""
+    return model.observe(
+        request.path,
+        request.hour,
+        request.access_rate_bps,
+        home_factor=request.home_factor,
+        access_loss=request.access_loss,
+        with_noise=request.with_noise,
+        probe_key=request.probe_key,
+    )
+
+
+def request_columns(requests: Sequence[ObserveRequest]) -> tuple[list, ...]:
+    """The positional arguments of ``observe_batch`` for these requests."""
+    return (
+        [r.path for r in requests],
+        [r.hour for r in requests],
+        [r.access_rate_bps for r in requests],
+        [r.home_factor for r in requests],
+        [r.access_loss for r in requests],
+        [r.probe_key for r in requests],
+        [r.with_noise for r in requests],
+    )
+
+
+def observe_columns(model, columns: Sequence[Sequence | None]) -> list[PathObservation]:
+    """Scalar ``observe`` over each entry of ``observe_batch``-shaped columns."""
+    paths, hours, rates, home_factors, losses, probe_keys, with_noise = columns
+    n = len(paths)
+    probe_keys = probe_keys if probe_keys is not None else [None] * n
+    with_noise = with_noise if with_noise is not None else [True] * n
+    return [
+        model.observe(path, hour, rate, home_factor=home, access_loss=loss,
+                      with_noise=noisy, probe_key=key)
+        for path, hour, rate, home, loss, key, noisy
+        in zip(paths, hours, rates, home_factors, losses, probe_keys, with_noise)
+    ]
+
+
+def observation_rows(observed: ObservedBatch) -> list[PathObservation]:
+    """``observe_batch``'s columns as one :class:`PathObservation` per request."""
+    return [PathObservation(*row) for row in zip(*observed)]
+
+
+@dataclass(frozen=True)
+class PlannedTest:
+    """A routed NDT test awaiting its TCP evaluation(s)."""
+
+    test_id: int
+    client: object
+    server: object
+    timestamp_s: float
+    local_hour: float
+    path: ForwardingPath
+    requests: tuple[ObserveRequest, ...]
+    has_upload: bool
+
+
+class ScalarNDTRunner:
+    """NDT execution one test at a time: plan, observe each request, complete."""
+
+    def __init__(self, forwarder, tcp) -> None:
+        self._forwarder = forwarder
+        self._tcp = tcp
+        self._next_test_id = 1
+
+    def plan(self, client, server, conditions, timestamp_s, local_hour, probing):
+        """Route one test and claim its id; None when the client is unreachable."""
+        test_id = self._next_test_id
+        flow_key = ("ndt", test_id, server.server_id, client.ip)
+        path = self._forwarder.route_flow(
+            server.asn, server.city, client.asn, client.city, flow_key
+        )
+        if path is None:
+            return None
+        requests = [
+            ObserveRequest(
+                path=path,
+                hour=local_hour,
+                access_rate_bps=conditions.effective_plan_bps,
+                home_factor=conditions.home_factor,
+                access_loss=conditions.access_loss,
+                probe_key=("ndt", client.org_name, test_id) if probing else None,
+            )
+        ]
+        has_upload = False
+        if conditions.effective_upload_bps > 0:
+            upstream_path = self._forwarder.route_flow(
+                client.asn, client.city, server.asn, server.city,
+                ("ndt-up", *flow_key[1:]),
+            )
+            if upstream_path is not None:
+                has_upload = True
+                requests.append(
+                    ObserveRequest(
+                        path=upstream_path,
+                        hour=local_hour,
+                        access_rate_bps=conditions.effective_upload_bps,
+                        home_factor=conditions.home_factor,
+                        access_loss=conditions.access_loss,
+                    )
+                )
+        self._next_test_id += 1
+        return PlannedTest(
+            test_id=test_id,
+            client=client,
+            server=server,
+            timestamp_s=timestamp_s,
+            local_hour=local_hour,
+            path=path,
+            requests=tuple(requests),
+            has_upload=has_upload,
+        )
+
+    def complete(self, planned: PlannedTest, observations: list[PathObservation]) -> NDTRecord:
+        observation = observations[0]
+        client = planned.client
+        server = planned.server
+        return NDTRecord(
+            test_id=planned.test_id,
+            timestamp_s=planned.timestamp_s,
+            local_hour=planned.local_hour,
+            client_ip=client.ip,
+            server_id=server.server_id,
+            server_ip=server.ip,
+            server_asn=server.asn,
+            server_city=server.city,
+            download_bps=observation.throughput_bps,
+            rtt_ms=observation.rtt_ms,
+            retx_rate=observation.retx_rate,
+            congestion_signals=observation.congestion_signals,
+            gt_client_asn=client.asn,
+            gt_client_org=client.org_name,
+            gt_crossed_links=planned.path.crossed_links,
+            gt_bottleneck_link=observation.bottleneck_link_id,
+            gt_bottleneck_kind=observation.bottleneck_kind,
+            rtt_min_ms=observation.rtt_min_ms,
+            rtt_max_ms=observation.rtt_max_ms,
+            upload_bps=observations[1].throughput_bps if planned.has_upload else 0.0,
+        )
+
+    def run(self, client, server, conditions, timestamp_s, local_hour, probing):
+        """plan → scalar observe per request → complete; None when unroutable."""
+        planned = self.plan(client, server, conditions, timestamp_s, local_hour, probing)
+        if planned is None:
+            return None
+        observations = [observe_request(self._tcp, r) for r in planned.requests]
+        return self.complete(planned, observations)
+
+
+def trace_along(engine, path: ForwardingPath, src_ip: int, dst_ip: int, dst_city: str,
+                timestamp_s: float) -> TracerouteRecord:
+    """Render a forwarding path as a traceroute, one hop at a time.
+
+    The draw sequence is the determinism contract: a silent router
+    short-circuits the transient draw, and third-party only draws for
+    responsive hops.
+    """
+    config = engine._config
+    rng = engine._rng
+    ips: list[int | None] = []
+    rtts: list[float | None] = []
+    cumulative_ms = 1.0
+    cities = path.hop_cities
+    previous_city = cities[0] if cities else dst_city
+    for router_id, city, default_ip in zip(path.hop_routers, cities, path.hop_ips):
+        if city != previous_city:
+            cumulative_ms += 2.0 * propagation_delay_by_code_ms(previous_city, city)
+            previous_city = city
+        reply_ip: int | None = default_ip
+        silent = engine._silence.get(router_id)
+        if silent is None:
+            silent = engine._router_is_silent(router_id)
+        if silent or rng.random() < config.transient_loss_prob:
+            reply_ip = None
+        elif rng.random() < config.third_party_prob:
+            alternates = engine._alternates(router_id, default_ip)
+            if alternates:
+                reply_ip = rng.choice(alternates)
+        rtt = None
+        if reply_ip is not None:
+            rtt = max(0.1, cumulative_ms + rng.uniform(-1, 1) * config.rtt_jitter_ms)
+        ips.append(reply_ip)
+        rtts.append(rtt)
+
+    reached = rng.random() < config.destination_responds_prob
+    if reached:
+        if previous_city != dst_city:
+            cumulative_ms += 2.0 * propagation_delay_by_code_ms(previous_city, dst_city)
+        ips.append(dst_ip)
+        rtts.append(cumulative_ms + rng.uniform(0, config.rtt_jitter_ms))
+
+    record = TracerouteRecord(
+        trace_id=engine._next_trace_id,
+        timestamp_s=timestamp_s,
+        src_ip=src_ip,
+        src_asn=path.src_asn,
+        dst_ip=dst_ip,
+        hop_ips=tuple(ips),
+        hop_rtts=tuple(rtts),
+        reached_destination=reached,
+        gt_crossed_links=path.crossed_links,
+        gt_as_path=path.as_path,
+    )
+    engine._next_trace_id += 1
+    return record
+
+
+def trace(engine, src_ip, src_asn, src_city, dst_ip, dst_asn, dst_city, timestamp_s,
+          flow_key) -> TracerouteRecord | None:
+    """One Paris traceroute: route the flow, then walk it hop by hop."""
+    path = engine._forwarder.route_flow(src_asn, src_city, dst_asn, dst_city, flow_key)
+    if path is None:
+        return None
+    return trace_along(engine, path, src_ip, dst_ip, dst_city, timestamp_s)
+
+
+def run_ndt_campaign(
+    population, platform, forwarder, tcp, config: CampaignConfig, engine, probing=False
+):
+    """The campaign one test at a time.
+
+    Returns ``(result, lost, rng)``: the campaign, the number of traces
+    lost to busy daemons, and the campaign's own random stream in its end
+    state. ``probing`` builds the download legs' flow-probe keys, as the
+    campaign does while a recorder is active.
+    """
+    rng = derive_random(config.seed, "campaign")
+    runner = ScalarNDTRunner(forwarder, tcp)
+    platform.reset_daemons()
+
+    orgs = list(config.orgs) if config.orgs is not None else population.orgs()
+    clients_by_org = {}
+    weights = []
+    for org in orgs:
+        clients = population.clients_of(org)
+        if not clients:
+            raise ValueError(f"org {org!r} has no clients")
+        clients_by_org[org] = clients
+        weights.append(float(len(clients)))
+
+    events = []
+    scheduled_tests = 0
+    while scheduled_tests < config.total_tests:
+        org = rng.choices(orgs, weights=weights, k=1)[0]
+        client = rng.choice(clients_by_org[org])
+        n_tests = 1
+        if rng.random() < config.burst_prob:
+            n_tests = rng.randint(*config.burst_tests)
+        n_tests = min(n_tests, config.total_tests - scheduled_tests)
+        day = rng.randrange(config.days)
+        hour = _sample_local_hour(rng)
+        now = day * _SECONDS_PER_DAY + hour * 3600.0 + rng.uniform(0, 59)
+        sites = platform.select_regional_sites(client.city, count=5)
+        for test_index in range(n_tests):
+            if config.selection_policy == "direct":
+                server = platform.select_server_direct(client.city, client.asn, rng)
+            elif config.selection_policy == "regional":
+                server = rng.choice(platform.servers_at(rng.choice(sites)))
+            elif n_tests > 1:
+                site = sites[test_index % len(sites)]
+                server = rng.choice(platform.servers_at(site))
+            else:
+                server = platform.select_server(client.city, rng, config.selection_policy)
+            events.append((now, client, server))
+            now += rng.uniform(*config.burst_gap_s)
+        scheduled_tests += n_tests
+    events.sort(key=lambda e: e[0])
+
+    ndt_records = []
+    traceroutes = []
+    lost = 0
+    for now, client, server in events:
+        local_hour = (now % _SECONDS_PER_DAY) / 3600.0
+        conditions = population.draw_conditions(client, local_hour, rng)
+        record = runner.run(client, server, conditions, now, local_hour, probing)
+        if record is None:
+            continue
+        ndt_records.append(record)
+        test_end = now + config.test_duration_s
+        if platform.daemon_try_acquire(server.site, test_end) is None:
+            lost += 1
+            continue
+        traced = trace(
+            engine, server.ip, server.asn, server.city, client.ip, client.asn,
+            client.city, test_end + 1.0, ("paris", server.site, client.ip, record.test_id),
+        )
+        if traced is not None:
+            traceroutes.append(traced)
+    result = CampaignResult(
+        config=config,
+        ndt_records=ndt_records,
+        traceroute_records=traceroutes,
+        servers_by_id={s.server_id: s for s in platform.servers()},
+    )
+    return result, lost, rng

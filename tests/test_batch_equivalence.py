@@ -4,10 +4,12 @@
 ``observe`` calls would: same floats to the last bit, same noise-stream
 consumption, same flow-probe series, same ground-truth labels. These
 tests drive both paths over the same randomized request sets (paths,
-hours, noise on/off, access loss, probe keys) and compare with ``==`` on
-full records and ``repr`` (which also catches numpy scalar types leaking
-into records). The final test pins the whole campaign pipeline to a
-golden digest captured before the batch engine existed.
+hours, noise on/off, access loss, probe keys), passed to the batch as
+columns and to the scalar reference one request at a time, and compare
+with ``==`` on full observations and ``repr`` (which also catches numpy
+scalar types leaking into records). The final test pins the whole
+campaign pipeline to a golden digest captured before the batch engine
+existed.
 """
 
 from __future__ import annotations
@@ -17,10 +19,16 @@ import random
 
 import pytest
 
-from repro.net.batch import LinkTableSet, ObserveRequest
+from repro.net.batch import LinkTableSet
 from repro.net.tcp import BOTTLENECK_PRIORITY, classify_bottleneck
 from repro.obs import flowprobe
 from repro.platforms.campaign import CampaignConfig
+from tests.scalar_reference import (
+    ObserveRequest,
+    observation_rows,
+    observe_request,
+    request_columns,
+)
 
 #: sha256 over every NDT + traceroute record of the campaign below, as
 #: produced by the scalar, pre-batch engine (commit 2b1277e). Catching a
@@ -70,8 +78,8 @@ class TestObserveBatchEquivalence:
         scalar_model = small_study.tcp.reseeded(4242)
         batch_model = small_study.tcp.reseeded(4242)
 
-        scalar = [scalar_model.observe_request(r) for r in requests]
-        batched = batch_model.observe_batch(requests)
+        scalar = [observe_request(scalar_model, r) for r in requests]
+        batched = observation_rows(batch_model.observe_batch(*request_columns(requests)))
 
         assert len(batched) == len(scalar)
         for got, want in zip(batched, scalar):
@@ -85,8 +93,8 @@ class TestObserveBatchEquivalence:
         batch_model = small_study.tcp.reseeded(777)
 
         for r in requests:
-            scalar_model.observe_request(r)
-        batch_model.observe_batch(requests)
+            observe_request(scalar_model, r)
+        batch_model.observe_batch(*request_columns(requests))
 
         assert scalar_model._rng.random() == batch_model._rng.random()
         assert scalar_model._rng.gauss(0.0, 1.0) == batch_model._rng.gauss(0.0, 1.0)
@@ -94,12 +102,16 @@ class TestObserveBatchEquivalence:
     def test_blocked_dispatch_matches_one_shot(self, small_study):
         """Block size never affects output — only the dispatch grouping."""
         requests = _random_requests(small_study, seed=303, count=256)
-        one_shot = small_study.tcp.reseeded(99).observe_batch(requests)
+        one_shot = observation_rows(
+            small_study.tcp.reseeded(99).observe_batch(*request_columns(requests))
+        )
 
         blocked_model = small_study.tcp.reseeded(99)
         blocked = []
         for start in range(0, len(requests), 37):  # deliberately odd size
-            blocked.extend(blocked_model.observe_batch(requests[start:start + 37]))
+            blocked.extend(observation_rows(blocked_model.observe_batch(
+                *request_columns(requests[start:start + 37])
+            )))
 
         assert blocked == one_shot
 
@@ -108,14 +120,14 @@ class TestObserveBatchEquivalence:
         assert any(r.probe_key is not None for r in requests)
         try:
             flowprobe.activate(flowprobe.FlowProbeRecorder(max_flows=256))
-            small_study.tcp.reseeded(11).observe_batch(requests)
+            small_study.tcp.reseeded(11).observe_batch(*request_columns(requests))
             batched_series = [s.to_dict() for s in flowprobe.active().series()]
             flowprobe.deactivate()
 
             flowprobe.activate(flowprobe.FlowProbeRecorder(max_flows=256))
             scalar_model = small_study.tcp.reseeded(11)
             for r in requests:
-                scalar_model.observe_request(r)
+                observe_request(scalar_model, r)
             scalar_series = [s.to_dict() for s in flowprobe.active().series()]
         finally:
             flowprobe.deactivate()
@@ -124,7 +136,9 @@ class TestObserveBatchEquivalence:
         assert batched_series  # the probe actually recorded something
 
     def test_empty_batch(self, small_study):
-        assert small_study.tcp.reseeded(1).observe_batch([]) == []
+        observed = small_study.tcp.reseeded(1).observe_batch(*request_columns([]))
+        assert observation_rows(observed) == []
+        assert all(column == [] for column in observed)
 
 
 class TestLinkTableSet:

@@ -1,6 +1,6 @@
 """Tests for NDT↔traceroute matching (§4.1 semantics)."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.matching import match_ndt_to_traceroutes
@@ -114,3 +114,64 @@ class TestFractionAndProperties:
         after = match_ndt_to_traceroutes(tests, traces)
         either = match_ndt_to_traceroutes(tests, traces, mode="either")
         assert set(after.matched) <= set(either.matched)
+
+
+def _brute_force(tests, traces, window_s, mode):
+    """Every test against every trace of its client: the earliest trace in
+    the window ("after"), or the nearest one ("either"); ties go to the
+    earlier trace, then to the smaller trace id."""
+    matched = {}
+    for test in tests:
+        low = test.timestamp_s - (window_s if mode == "either" else 0.0)
+        high = test.timestamp_s + window_s
+        candidates = [
+            (abs(trace.timestamp_s - test.timestamp_s) if mode == "either" else 0.0,
+             trace.timestamp_s, trace.trace_id)
+            for trace in traces
+            if trace.dst_ip == test.client_ip and low <= trace.timestamp_s <= high
+        ]
+        if candidates:
+            matched[test.test_id] = min(candidates)[2]
+    return matched
+
+
+#: Multiples of 15 s put traces exactly on the edges of every window below
+#: and give many equal timestamps; arbitrary floats cover the rest.
+_times = st.one_of(
+    st.integers(min_value=0, max_value=40).map(lambda k: k * 15.0),
+    st.floats(min_value=0, max_value=600, allow_nan=False),
+)
+
+
+class TestAgainstBruteForce:
+    def test_window_edges_and_equal_timestamps(self):
+        tests = [_ndt(1, 100.0), _ndt(2, 700.0)]
+        # 160 sits on test 1's far edge, two traces share test 2's own
+        # timestamp, and 50 and 650 only fall in the "either" windows.
+        traces = [_trace(9, 160.0), _trace(8, 700.0), _trace(7, 700.0),
+                  _trace(6, 50.0), _trace(5, 650.0)]
+        for mode in ("after", "either"):
+            report = match_ndt_to_traceroutes(tests, traces, window_s=60.0, mode=mode)
+            assert report.matched == _brute_force(tests, traces, 60.0, mode)
+        after = match_ndt_to_traceroutes(tests, traces, window_s=60.0)
+        assert after.matched == {1: 9, 2: 7}
+        edge = match_ndt_to_traceroutes([_ndt(1, 100.0)], [_trace(4, 40.0)],
+                                        window_s=60.0, mode="either")
+        assert edge.matched == {1: 4}
+
+    @given(
+        tests=st.lists(st.tuples(_times, st.integers(min_value=1, max_value=3)), max_size=15),
+        traces=st.lists(st.tuples(_times, st.integers(min_value=1, max_value=3)), max_size=15),
+        trace_ids=st.permutations(range(100, 115)),
+        window=st.sampled_from([15.0, 60.0, 300.0]),
+        mode=st.sampled_from(["after", "either"]),
+    )
+    @example(tests=[(30.0, 1)], traces=[(45.0, 1), (15.0, 1), (45.0, 1)],
+             trace_ids=list(range(114, 99, -1)), window=15.0, mode="either")
+    @settings(max_examples=200)
+    def test_matches_brute_force(self, tests, traces, trace_ids, window, mode):
+        ndt = [_ndt(i + 1, t, client_ip=c) for i, (t, c) in enumerate(tests)]
+        trs = [_trace(trace_ids[i], t, dst_ip=c) for i, (t, c) in enumerate(traces)]
+        report = match_ndt_to_traceroutes(ndt, trs, window_s=window, mode=mode)
+        assert report.matched == _brute_force(ndt, trs, window, mode)
+        assert report.total_tests == len(ndt)

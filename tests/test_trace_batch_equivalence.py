@@ -1,13 +1,14 @@
 """The traceroute batch engine's byte-identity contract.
 
-``TracerouteEngine.trace_batch`` promises to return exactly what
-sequential ``trace`` calls would: same hops to the last bit of RTT
-jitter, same silent-router / transient-loss / third-party artifacts,
-same trace ids, same RNG stream consumption. These tests drive both
-paths over identical request sets — across seeds, across artifact-heavy
-configurations, across repeated batches (which exercise the render-table
-fast path) — and pin the whole thing to a golden digest captured from
-the scalar engine. MAP-IT's array passes ride on the same contract:
+``TracerouteEngine.trace_batch`` and scalar ``trace`` share one
+table-backed renderer. Both promise to return exactly what the
+hop-by-hop reference walk (``tests/scalar_reference.py``) returns: same
+hops to the last bit of RTT jitter, same silent-router / transient-loss
+/ third-party artifacts, same trace ids, same RNG stream consumption.
+These tests drive the engine and the reference over identical request
+sets — across seeds, across artifact-heavy configurations, across
+repeated batches (which exercise the render-table fast path) — and pin
+the whole thing to a golden digest captured from the scalar engine. MAP-IT's array passes ride on the same contract:
 over a batch corpus they must infer exactly what the scalar reference
 walk (``tests/scalar_reference.py``) infers.
 """
@@ -25,6 +26,8 @@ from repro.measurement.traceroute import (
     TracerouteEngine,
 )
 from tests.scalar_reference import ScalarMapIt
+from tests.scalar_reference import trace as reference_trace
+from tests.scalar_reference import trace_along as reference_along
 
 #: sha256 over two rounds of the request set below (records + one RNG
 #: draw at the end), as produced by the scalar `trace` path. trace_batch
@@ -91,7 +94,7 @@ class TestTraceBatchEquivalence:
         scalar_engine = _engine(small_study, config, stream)
         batch_engine = _engine(small_study, config, stream)
 
-        scalar = [scalar_engine.trace(*r) for r in requests]
+        scalar = [reference_trace(scalar_engine, *r) for r in requests]
         batched = batch_engine.trace_batch(requests)
 
         assert len(batched) == len(scalar)
@@ -117,7 +120,7 @@ class TestTraceBatchEquivalence:
         scalar_engine = _engine(small_study, config, "eq:repeat")
         batch_engine = _engine(small_study, config, "eq:repeat")
         for _ in range(3):
-            scalar = [scalar_engine.trace(*r) for r in requests]
+            scalar = [reference_trace(scalar_engine, *r) for r in requests]
             batched = batch_engine.trace_batch(requests)
             assert batched == scalar
         assert batch_engine._rng.getstate() == scalar_engine._rng.getstate()
@@ -133,8 +136,28 @@ class TestTraceBatchEquivalence:
 
         mixed = list(mixed_engine.trace_batch(requests[:half]))
         mixed += [mixed_engine.trace(*r) for r in requests[half:]]
-        scalar = [scalar_engine.trace(*r) for r in requests]
+        scalar = [reference_trace(scalar_engine, *r) for r in requests]
         assert mixed == scalar
+
+    @pytest.mark.parametrize(
+        "config", [TracerouteConfig(seed=7), ARTIFACT_HEAVY], ids=["default", "artifact-heavy"]
+    )
+    def test_scalar_trace_matches_reference_walk(self, small_study, config):
+        """Scalar ``trace`` and ``trace_along`` render through the shared
+        table-backed renderer; over three rounds (fresh paths, then table
+        builds, then table hits) both equal the hop-by-hop walk."""
+        requests = _golden_requests(small_study, tag="eq:scalar")
+        engine = _engine(small_study, config, "eq:scalar")
+        reference = _engine(small_study, config, "eq:scalar")
+        for _ in range(3):
+            for r in requests:
+                assert engine.trace(*r) == reference_trace(reference, *r)
+        path = small_study.forwarder.route_flow(*requests[0][1:3], *requests[0][4:6], "along")
+        assert path is not None
+        along = engine.trace_along(path, 1, 2, requests[0].dst_city, 5.0)
+        assert along == reference_along(reference, path, 1, 2, requests[0].dst_city, 5.0)
+        assert engine._rng.getstate() == reference._rng.getstate()
+        assert engine._next_trace_id == reference._next_trace_id
 
     def test_empty_batch(self, small_study):
         assert _engine(small_study, TracerouteConfig(seed=7), "eq:empty").trace_batch([]) == []

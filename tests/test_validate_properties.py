@@ -25,6 +25,7 @@ from repro.validate.strategies import (  # noqa: E402
     observe_requests,
     study_configs,
 )
+from tests.scalar_reference import observation_rows, observe_columns  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +83,8 @@ class TestBatchScalarEquivalence:
         scalar_model = small_study.tcp.reseeded(reseed)
         batch_model = small_study.tcp.reseeded(reseed)
 
-        scalar = [scalar_model.observe_request(r) for r in requests]
-        batched = batch_model.observe_batch(requests)
+        scalar = observe_columns(scalar_model, requests)
+        batched = observation_rows(batch_model.observe_batch(*requests))
 
         assert batched == scalar
         assert [repr(o) for o in batched] == [repr(o) for o in scalar]
@@ -94,10 +95,12 @@ class TestBatchScalarEquivalence:
     @given(data=st.data())
     def test_split_batches_equal_one_batch(self, small_study, routed_paths, data):
         requests = data.draw(observe_requests(routed_paths, max_size=10))
-        cut = data.draw(st.integers(min_value=0, max_value=len(requests)))
+        cut = data.draw(st.integers(min_value=0, max_value=len(requests[0])))
+        head = [c[:cut] if c is not None else None for c in requests]
+        tail = [c[cut:] if c is not None else None for c in requests]
 
-        one_shot = small_study.tcp.reseeded(5).observe_batch(requests)
+        one_shot = observation_rows(small_study.tcp.reseeded(5).observe_batch(*requests))
         split_model = small_study.tcp.reseeded(5)
-        split = (split_model.observe_batch(requests[:cut])
-                 + split_model.observe_batch(requests[cut:]))
+        split = (observation_rows(split_model.observe_batch(*head))
+                 + observation_rows(split_model.observe_batch(*tail)))
         assert split == one_shot
