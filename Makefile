@@ -26,7 +26,7 @@ validate-smoke:
 fuzz:
 	HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -q \
 		tests/test_validate_properties.py tests/test_property_util.py \
-		tests/test_inference_properties.py
+		tests/test_inference_properties.py tests/test_route_plans.py
 
 # Tier-1 coverage with a floor on the packages the validation layer
 # guards. Needs the pytest-cov dev dependency; fails fast with a hint
@@ -89,11 +89,14 @@ suite-check:
 	@echo "suite-check ok: all --jobs 2 matches experiments_output.txt"
 
 # One benchmark repetition each of `campaign` and `coverage` at seeds 7
-# and 11; every result digest must equal layerbench/pinned.json and every
-# self-check must pass (~1 min). The seed-7 repetitions run traced, so the
-# layer self-checks run too: every span a workload requires was called,
-# and every wrapped method still exists. Reads the benchmark's files and
-# changes none of them. Leaves each repetition's JSON in pins-check/.
+# and 11, and of `coverage_x4` at seed 7 over two workers, whose 4x world
+# outgrows the forwarder's bounded caches; every result digest must equal
+# layerbench/pinned.json and every self-check must pass (~1 min). The
+# seed-7 repetitions run traced, so the layer self-checks run too: every
+# span a workload requires was called, every wrapped method still exists,
+# and the pool folded its workers' totals back. Reads the benchmark's
+# files and changes none of them. Leaves each repetition's JSON in
+# pins-check/.
 pins-check:
 	rm -rf pins-check && mkdir -p pins-check
 	for workload in campaign coverage; do for seed in 7 11; do \
@@ -101,15 +104,18 @@ pins-check:
 		$(PYTHON) layerbench/rep.py $$workload --seed $$seed --jobs 1 --tmp pins-check \
 			$$traced > pins-check/$$workload-$$seed.json || exit 1; \
 	done; done
+	$(PYTHON) layerbench/rep.py coverage_x4 --seed 7 --jobs 2 --tmp pins-check \
+		--traced > pins-check/coverage_x4-7.json
 	$(PYTHON) -c "import json; pins = json.load(open('layerbench/pinned.json')); \
+	runs = [(w, s) for w in ('campaign', 'coverage') for s in (7, 11)] + [('coverage_x4', 7)]; \
 	reps = [json.loads(open(f'pins-check/{w}-{s}.json').read().splitlines()[-1]) \
-	        for w in ('campaign', 'coverage') for s in (7, 11)]; \
+	        for w, s in runs]; \
 	bad = [(r['workload'], r['seed'], r['problems']) for r in reps \
 	       if r['digest'] != pins[r['workload']][str(r['seed'])] or r['problems'] \
 	       or r['traced'] != (r['seed'] == 7)]; \
 	print('\\n'.join('%s %s %s traced=%s' % (r['workload'], r['seed'], r['digest'], r['traced']) for r in reps)); \
 	raise SystemExit(f'pins-check failed: {bad}' if bad else 0)"
-	@echo "pins-check ok: campaign and coverage digests match layerbench/pinned.json"
+	@echo "pins-check ok: campaign, coverage and coverage_x4 digests match layerbench/pinned.json"
 
 clean-cache:
 	$(PYTHON) -c "from repro.util import artifact_cache; print(artifact_cache.clear(), 'artifacts removed')"

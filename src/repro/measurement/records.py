@@ -9,15 +9,20 @@ the ``gt_`` fields).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.util.units import MBPS
 
 
-@dataclass(frozen=True)
-class NDTRecord:
-    """One NDT download test as logged by the server side."""
+class NDTRecord(NamedTuple):
+    """One NDT download test as logged by the server side.
+
+    Records are named tuples because a campaign builds one per test: a
+    tuple is filled in one step, where a frozen dataclass pays one
+    ``object.__setattr__`` per field. Campaign digests hash
+    ``repr(record)``, so the ``NDTRecord(test_id=..., ...)`` format is
+    part of the output contract.
+    """
 
     test_id: int
     #: Absolute campaign time in seconds (campaign starts at local midnight).
@@ -67,8 +72,7 @@ class TraceHop(NamedTuple):
     rtt_ms: float | None
 
 
-@dataclass(frozen=True)
-class TracerouteRecord:
+class TracerouteRecord(NamedTuple):
     """A Paris traceroute from a measurement server toward a client.
 
     The hops are stored as two columns, position ``i`` holding TTL

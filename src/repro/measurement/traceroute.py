@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from repro.measurement.records import TracerouteRecord
+from repro.net.compiled import compile_world
 from repro.obs import metrics
 from repro.routing.forwarding import Forwarder, ForwardingPath
 from repro.topology.geo import propagation_delay_by_code_ms
@@ -137,8 +138,9 @@ class TracerouteEngine:
         #: are traced once) never pay the table-construction overhead.
         self._render_seen: OrderedDict[int, ForwardingPath] = OrderedDict()
         #: (router_id, probed_ip) -> alternate interface ips, resolved
-        #: lazily on third-party events.
+        #: lazily on third-party events from the compiled world's tables.
         self._alternates_memo: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._world = None
         #: (last_hop_city, dst_city) -> final-hop round-trip delay bump.
         self._final_delay: dict[tuple[str, str], float] = {}
 
@@ -358,15 +360,15 @@ class TracerouteEngine:
         return records
 
     def _alternates(self, router_id: int, probed_ip: int) -> tuple[int, ...]:
-        """The router's other interfaces, in fabric order: the candidates
+        """The router's other interfaces, in port order: the candidates
         of a third-party reply to a probe of ``probed_ip``. Memoized."""
         key = (router_id, probed_ip)
         alternates = self._alternates_memo.get(key)
         if alternates is None:
+            if self._world is None:
+                self._world = compile_world(self._internet)
             alternates = tuple(
-                iface.ip
-                for iface in self._internet.fabric.interfaces_of(router_id)
-                if iface.ip != probed_ip
+                ip for ip in self._world.interface_ips_of(router_id) if ip != probed_ip
             )
             self._alternates_memo[key] = alternates
         return alternates

@@ -9,6 +9,14 @@ those into numpy arrays once per world and answers them with
 ``searchsorted`` and CSR slicing — vectorized for whole hop corpora at a
 time.
 
+Router-level forwarding (:mod:`repro.routing.forwarding`) reads the
+same tables: links per AS pair, core and access routers per (AS, metro)
+and each router's first interface, through a python-side index built on
+first use. The router meta behind it (each router's AS, metro and role)
+comes from the generator's recorder and is not part of the snapshot
+schema, so a world loaded from a snapshot alone cannot answer those
+lookups.
+
 Two invariants the rest of the code leans on:
 
 * **agreement** — every compiled answer is *equal* to the object-graph
@@ -46,11 +54,12 @@ from repro.obs import metrics
 from repro.obs.log import get_logger
 from repro.topology.asgraph import Relationship
 from repro.topology.internet import Internet
-from repro.topology.routers import Interconnect
+from repro.topology.routers import Interconnect, RouterRole
 from repro.topology.tables import (
     CITY_DTYPE,
     CODE_OF_KIND,
     CODE_OF_REL as _CODE_OF_REL,
+    CODE_OF_ROUTER_ROLE,
     KIND_CODES,
     REL_CODES as _REL_CODES,
     flatten_prefixes as _flatten_prefixes,
@@ -119,6 +128,13 @@ class CompiledWorld:
     link_city: np.ndarray  # <U4 metro code per link
     link_kind: np.ndarray  # int8 KIND_CODES code per link
 
+    # --- router meta, row-aligned with router_ids. Not part of the
+    # snapshot schema (``_ARRAY_FIELDS``): compile_world attaches it from
+    # the world's recorder, the object walk derives it from the fabric ---
+    router_asn: np.ndarray | None = None  # int64 owning AS per router
+    router_city: np.ndarray | None = None  # <U4 metro code per router
+    router_role: np.ndarray | None = None  # int8 ROUTER_ROLE_CODES code
+
     #: Lazy python-side index: ASN -> row in adj_asns (built on first use,
     #: never persisted).
     _asn_row: dict[int, int] | None = field(default=None, repr=False, compare=False)
@@ -127,6 +143,8 @@ class CompiledWorld:
     _link_views: dict[int, Interconnect] | None = field(
         default=None, repr=False, compare=False
     )
+    #: Lazy python-side forwarding index (see :meth:`_forwarding_index`).
+    _forwarding: tuple | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # LPM / IXP
@@ -265,6 +283,70 @@ class CompiledWorld:
         return [self.interconnect_view(int(i)) for i in self.link_ids]
 
     # ------------------------------------------------------------------
+    # forwarding lookups: what router-level path expansion reads
+
+    def core_router_of(self, asn: int, city: str) -> int | None:
+        """The AS's core router in ``city``, or None."""
+        return self._forwarding_index()[0].get((asn, city))
+
+    def access_routers_of(self, asn: int, city: str) -> tuple[int, ...]:
+        """The AS's access routers in ``city``, in router-id order."""
+        return self._forwarding_index()[1].get((asn, city), ())
+
+    def first_interface_ip(self, router_id: int) -> int | None:
+        """The router's first interface in port order, or None when it
+        has none."""
+        return self._forwarding_index()[2].get(router_id)
+
+    def links_between(self, a: int, b: int) -> tuple[tuple, ...]:
+        """Interconnects joining two ASes (either order), in link-id order,
+        as rows ``(link_id, a_asn, b_asn, a_router_id, b_router_id, a_ip,
+        b_ip, city_code)``."""
+        pair = (a, b) if a < b else (b, a)
+        return self._forwarding_index()[3].get(pair, ())
+
+    def _forwarding_index(self) -> tuple[dict, dict, dict, dict]:
+        """(asn, city) -> core router, (asn, city) -> access routers,
+        router -> first interface, AS pair -> link rows; built once from
+        the tables with ``.tolist()``, so every answer is a python int or
+        str, never a numpy scalar."""
+        index = self._forwarding
+        if index is not None:
+            return index
+        if self.router_asn is None:
+            raise LookupError(
+                "this world carries no router meta; build it with compile_world(internet)"
+            )
+        core_code = CODE_OF_ROUTER_ROLE[RouterRole.CORE]
+        access_code = CODE_OF_ROUTER_ROLE[RouterRole.ACCESS]
+        core: dict[tuple[int, str], int] = {}
+        access: dict[tuple[int, str], tuple[int, ...]] = {}
+        for router_id, asn, city, role in zip(
+            self.router_ids.tolist(), self.router_asn.tolist(),
+            self.router_city.tolist(), self.router_role.tolist(),
+        ):
+            if role == core_code:
+                core[(asn, city)] = router_id
+            elif role == access_code:
+                access[(asn, city)] = access.get((asn, city), ()) + (router_id,)
+        starts = self.router_indptr[:-1]
+        has_interface = self.router_indptr[1:] > starts
+        first_ip = dict(zip(
+            self.router_ids[has_interface].tolist(),
+            self.router_iface_ips[starts[has_interface]].tolist(),
+        ))
+        links: dict[tuple[int, int], tuple[tuple, ...]] = {}
+        for link_id, (a, b, a_router, b_router, a_ip, b_ip, _numbered, _group), city in zip(
+            self.link_ids.tolist(), self.link_cols.tolist(), self.link_city.tolist()
+        ):
+            pair = (a, b) if a < b else (b, a)
+            links[pair] = links.get(pair, ()) + (
+                (link_id, a, b, a_router, b_router, a_ip, b_ip, city),
+            )
+        index = self._forwarding = (core, access, first_ip, links)
+        return index
+
+    # ------------------------------------------------------------------
     # oracle priming
 
     def prime_oracle(self, oracle, ips) -> int:
@@ -319,6 +401,8 @@ class CompiledWorld:
         "router_ids", "router_indptr", "router_iface_ips",
         "link_ids", "link_cols", "link_city", "link_kind",
     )
+    #: The router meta arrays, outside the snapshot schema.
+    _ROUTER_FIELDS = ("router_asn", "router_city", "router_role")
 
 
 #: digest -> CompiledWorld, one per process.
@@ -414,6 +498,7 @@ def compile_world(internet: Internet) -> CompiledWorld:
     cached = _COMPILE_CACHE.get(digest)
     if cached is not None:
         _CACHE_HITS.inc()
+        _attach_router_meta(cached, internet)
         return cached
     world: CompiledWorld | None = None
     if internet.tables is not None:
@@ -424,9 +509,16 @@ def compile_world(internet: Internet) -> CompiledWorld:
         world = load_snapshot_world(digest)
     if world is None:
         world = _compile(internet, digest)
+    _attach_router_meta(world, internet)
     persist_snapshot(world)
     _COMPILE_CACHE[digest] = world
     return world
+
+
+def _attach_router_meta(world: CompiledWorld, internet: Internet) -> None:
+    """Give a world built from tables or a snapshot its router meta."""
+    if world.router_asn is None:
+        world.router_asn, world.router_city, world.router_role = internet.router_columns()
 
 
 def compile_from_object_graph(internet: Internet) -> CompiledWorld:
@@ -512,6 +604,7 @@ def _compile(internet: Internet, digest: str) -> CompiledWorld:
     for router_id in router_ids:
         router_iface_ips.extend(i.ip for i in fabric.interfaces_of(router_id))
         router_indptr.append(len(router_iface_ips))
+    routers = [fabric.router(router_id) for router_id in router_ids]
 
     links = fabric.interconnects()  # sorted by link id
     link_ids = np.asarray([l.link_id for l in links], dtype=np.int64)
@@ -550,6 +643,11 @@ def _compile(internet: Internet, digest: str) -> CompiledWorld:
         link_cols=link_cols,
         link_city=link_city,
         link_kind=link_kind,
+        router_asn=np.asarray([r.asn for r in routers], dtype=np.int64),
+        router_city=np.asarray([r.city_code for r in routers], dtype=CITY_DTYPE),
+        router_role=np.asarray(
+            [CODE_OF_ROUTER_ROLE[r.role] for r in routers], dtype=np.int8
+        ),
     )
     _log.info(
         "compiled world %s: %d LPM intervals, %d AS rows, %d interfaces, %d links",

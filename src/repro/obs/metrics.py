@@ -1,7 +1,7 @@
 """Process-local metrics registry: counters, gauges, histograms.
 
-Instrumentation points across the pipeline (artifact cache, forwarder
-LRUs, the process pool, the TCP model) grab their metric objects once at
+Instrumentation points across the pipeline (artifact cache, forwarder,
+the process pool, the TCP model) grab their metric objects once at
 import time and bump them on the hot path; every mutator is a no-op
 behind a single module-level flag check, so ``REPRO_METRICS=0`` reduces
 the whole layer to one boolean test per event.

@@ -19,6 +19,7 @@ outlives its block except the records themselves.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from repro.measurement.ndt import NDTBlock, NDTRunner
@@ -112,6 +113,9 @@ def run_ndt_campaign(
             raise ValueError(f"org {org!r} has no clients")
         clients_by_org[org] = clients
         weights.append(float(len(clients)))
+    # Accumulated once: ``choices`` with ``cum_weights`` draws the same
+    # single random() as with ``weights``, without re-summing per session.
+    cum_weights = list(itertools.accumulate(weights))
 
     # --- schedule individual test events -------------------------------
     # Each session expands into per-test events up front; the whole event
@@ -123,7 +127,7 @@ def run_ndt_campaign(
     event_clients: list[Client] = []
     event_servers: list[MLabServer] = []
     while len(times) < config.total_tests:
-        org = rng.choices(orgs, weights=weights, k=1)[0]
+        org = rng.choices(orgs, cum_weights=cum_weights, k=1)[0]
         client = rng.choice(clients_by_org[org])
         n_tests = 1
         if rng.random() < config.burst_prob:
@@ -203,15 +207,12 @@ def run_ndt_campaign(
                 lost_traces += 1
                 continue
             client = block_clients[row]
+            # Positionally: src_ip, src_asn, src_city, dst_ip, dst_asn,
+            # dst_city, timestamp_s, flow_key.
             trace = engine.trace(
-                src_ip=server.ip,
-                src_asn=server.asn,
-                src_city=server.city,
-                dst_ip=client.ip,
-                dst_asn=client.asn,
-                dst_city=client.city,
-                timestamp_s=test_end + 1.0,
-                flow_key=("paris", server.site, client.ip, record.test_id),
+                server.ip, server.asn, server.city,
+                client.ip, client.asn, client.city,
+                test_end + 1.0, ("paris", server.site, client.ip, record.test_id),
             )
             if trace is not None:
                 traceroutes.append(trace)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.net.diurnal import cable_contention
 from repro.topology.asgraph import ASRole
@@ -84,8 +85,7 @@ class Client:
     base_home_factor: float
 
 
-@dataclass(frozen=True)
-class TestConditions:
+class TestConditions(NamedTuple):
     """Per-test draw of the client-side confounders."""
 
     effective_plan_bps: float
@@ -141,12 +141,7 @@ class ClientPopulation:
         access_loss = 0.0
         if rng.random() < 0.05:
             access_loss = rng.uniform(0.002, 0.02)  # bad Wi-Fi moment
-        return TestConditions(
-            effective_plan_bps=effective_plan,
-            effective_upload_bps=effective_upload,
-            home_factor=home,
-            access_loss=access_loss,
-        )
+        return TestConditions(effective_plan, effective_upload, home, access_loss)
 
     # ------------------------------------------------------------------
 

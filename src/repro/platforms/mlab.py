@@ -144,7 +144,9 @@ class MLabPlatform:
         a previous trace — in which case no traceroute is taken for this
         test, the §4.1 data loss.
         """
-        daemon = self._daemons.setdefault(site, _SiteDaemon())
+        daemon = self._daemons.get(site)
+        if daemon is None:
+            daemon = self._daemons[site] = _SiteDaemon()
         if now_s < daemon.busy_until_s:
             return None
         low, high = self._config.traceroute_duration_range_s

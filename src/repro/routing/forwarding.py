@@ -16,6 +16,17 @@ The result is a :class:`ForwardingPath`: the ordered router-level hops,
 each annotated with the interface that would answer a traceroute probe,
 plus the interdomain links crossed. RTT is derived from hop metro
 coordinates downstream in :mod:`repro.net`.
+
+Two flows between the same endpoints differ only in the ECMP picks, so
+everything else is resolved once per endpoint pair into a *route plan*:
+the AS path, each boundary's egress policy (a cold-potato candidate
+group, or a hot-potato lookup that depends on where the flow is), the
+access-router candidates, and the bytes each pick hashes after the flow
+key. Routing a flow is then one plan lookup plus a crc32 continuation
+per boundary that has more than one candidate. Plans and paths are read
+from the compiled world's tables (:mod:`repro.net.compiled`: link rows
+per AS pair, core and access routers per metro, first interface per
+router), never from the object fabric.
 """
 
 from __future__ import annotations
@@ -29,22 +40,14 @@ from repro.obs import metrics
 from repro.routing.bgp import BGPRouting
 from repro.topology.geo import city_by_code, geo_distance_km
 from repro.topology.internet import Internet
-from repro.topology.routers import Interconnect, Router, RouterRole
 
-_ROUTES = metrics.counter("forwarder.routes_resolved")
 _UNROUTABLE = metrics.counter("forwarder.unroutable_flows")
-_SEG_HITS = metrics.counter("forwarder.segment_cache.hits")
-_SEG_MISSES = metrics.counter("forwarder.segment_cache.misses")
-_ASPATH_HITS = metrics.counter("forwarder.as_path_cache.hits")
-_ASPATH_MISSES = metrics.counter("forwarder.as_path_cache.misses")
-_PATH_HITS = metrics.counter("forwarder.path_cache.hits")
-_PATH_MISSES = metrics.counter("forwarder.path_cache.misses")
-_BATCH_FLOWS = metrics.counter("forwarder.batch.flows")
-_BATCH_GROUPS = metrics.counter("forwarder.batch.groups")
-_FLOW_MEMO_HITS = metrics.counter("forwarder.batch.flow_memo.hits")
 
 #: Cache-miss sentinel for tables whose values may legitimately be None.
 _ABSENT = object()
+
+#: The plan of an endpoint pair no flow can route between.
+_NO_ROUTE = (None, None, None, None, None)
 
 
 class RouterHop(NamedTuple):
@@ -99,13 +102,17 @@ def flow_hash(*parts: object) -> int:
 class Forwarder:
     """Expands AS paths to router-level paths over one Internet instance.
 
-    Path *segments* — the per-boundary equally-near interconnect groups,
-    the per-(AS, city) core hop, and the per-(AS, city) access-router
-    fan-out — are memoized in bounded FIFO caches, so repeated client→server
-    flows skip re-walking the fabric. The caches hold only inputs to the
-    flow-key hash, never its outcome, so cached and uncached routing are
-    bit-identical (``segment_cache_size=0`` disables them, which the
-    determinism suite uses to prove it).
+    Each endpoint pair ``(src_asn, src_city, dst_asn, dst_city)`` gets one
+    route plan (see the module docstring); :meth:`route_flow` and
+    :meth:`resolve_paths_batch` both run a flow through its plan, so a
+    batch needs no grouping of its own and there is no per-flow memo.
+    Plans, AS paths, per-boundary candidate groups and resolved paths
+    live in bounded FIFO caches of ``segment_cache_size`` entries. They
+    hold only inputs to the flow-key hash, never its outcome, so cached
+    and uncached routing are bit-identical (``segment_cache_size=0``
+    disables plan caching and path interning, which the determinism
+    suite uses to prove it). With caching on, flows whose hashes land on
+    the same choices share one interned :class:`ForwardingPath`.
     """
 
     def __init__(
@@ -116,54 +123,50 @@ class Forwarder:
     ) -> None:
         self._internet = internet
         self._routing = routing if routing is not None else BGPRouting(internet.graph)
+        #: The compiled world whose tables forwarding reads, resolved on
+        #: the first route (building a study compiles it already).
+        self._world = None
         self._distance_cache: dict[tuple[str, str], float] = {}
         self._segment_cache_size = max(0, segment_cache_size)
-        #: (current_as, next_as, anchor_city) → equally-nearest interconnects.
-        #: Bounded caches here evict in insertion (FIFO) order rather than
-        #: LRU: skipping the per-hit reordering is measurably cheaper on
-        #: the route hot path, and eviction policy can never change which
-        #: path a flow gets — only how often it is recomputed.
+        #: The bounded caches below evict in insertion (FIFO) order rather
+        #: than LRU: skipping the per-hit reordering is measurably cheaper
+        #: on the route hot path, and eviction policy can never change
+        #: which path a flow gets — only how often it is recomputed.
         #: ``OrderedDict.popitem(last=False)`` evicts in O(1), where
         #: deleting a plain dict's first key rescans the slots freed by
         #: earlier evictions.
-        self._segment_cache: OrderedDict[tuple[int, int, str], tuple[Interconnect, ...]] = (
+        #:
+        #: (src_asn, src_city, dst_asn, dst_city) → route plan
+        #: ``(fixed_path, as_path, boundaries, access, access_suffix)``:
+        #: ``boundaries`` holds ``(group, current_as, next_as, suffix)``
+        #: per AS boundary, with ``group`` None where the exit is hot
+        #: potato. When no choice depends on the flow key, ``fixed_path``
+        #: is the one interned path and nothing else is kept.
+        self._plans: OrderedDict[tuple[int, str, int, str], tuple] = OrderedDict()
+        #: (current_as, next_as, anchor_city) → equally-nearest links, as
+        #: rows ``(link_id, city, near_router, near_ip, far_router,
+        #: far_ip)`` oriented from ``current_as``, in link-id order.
+        self._segment_cache: OrderedDict[tuple[int, int, str], tuple[tuple, ...]] = (
             OrderedDict()
         )
+        #: (src_asn, dst_asn) → AS path tuple (None = unroutable).
+        self._as_path_cache: OrderedDict[tuple[int, int], tuple[int, ...] | None] = (
+            OrderedDict()
+        )
+        #: Fully-resolved flow choices → interned ForwardingPath. Distinct
+        #: flows that hash onto the same links share one path object,
+        #: which downstream identity-keyed memos (TCP base-RTT, trace
+        #: render tables) exploit.
+        self._path_cache: OrderedDict[tuple, ForwardingPath] = OrderedDict()
         #: (asn, city) → the core router's (router_id, reply_ip), or None
         #: when the AS has no core router with an interface there.
         self._core_hop_cache: dict[tuple[int, str], tuple[int, int] | None] = {}
         #: (asn, city) → (router_id, first-interface ip) access candidates.
         self._access_cache: dict[tuple[int, str], tuple[tuple[int, int], ...]] = {}
-        #: (src_asn, dst_asn) → AS path tuple (None = unroutable).
-        self._as_path_cache: OrderedDict[tuple[int, int], tuple[int, ...] | None] = (
-            OrderedDict()
-        )
-        #: (current_as, next_as, dst_city) → honours-MED coin. The coin is
-        #: a pure crc32 of its key, so memoizing it is free of semantics.
-        self._egress_memo: dict[tuple[int, int, str], bool] = {}
-        #: Fully-resolved flow choices → interned ForwardingPath. Distinct
-        #: flows that hash onto the same links share one path object,
-        #: which downstream identity-keyed memos (TCP base-RTT) exploit.
-        self._path_cache: OrderedDict[tuple, ForwardingPath] = OrderedDict()
-        #: Whole batch request → interned path. route_flow is a pure
-        #: function of its arguments, so repeated sweeps over the same
-        #: targets (the batch engine's steady state) skip the per-flow
-        #: hash walk entirely. Only successful resolutions are stored.
-        self._flow_memo: OrderedDict[tuple, ForwardingPath] = OrderedDict()
 
     @property
     def routing(self) -> BGPRouting:
         return self._routing
-
-    def clear_segment_caches(self) -> None:
-        """Drop memoized path segments (topology mutation hook)."""
-        self._segment_cache.clear()
-        self._core_hop_cache.clear()
-        self._access_cache.clear()
-        self._as_path_cache.clear()
-        self._egress_memo.clear()
-        self._path_cache.clear()
-        self._flow_memo.clear()
 
     def route_flow(
         self,
@@ -177,54 +180,46 @@ class Forwarder:
 
         ``flow_key`` identifies the flow for ECMP purposes; the same key
         always takes the same path (which is what lets Paris traceroute
-        see the path an NDT flow used).
+        see the path an NDT flow used). Every pick hashes the bytes
+        :func:`flow_hash` would: ``str(flow_key)`` followed by the
+        plan's suffix, as one crc32 continued from the key's.
         """
-        as_path = self._cached_as_path(src_asn, dst_asn)
+        endpoints = (src_asn, src_city, dst_asn, dst_city)
+        plan = self._plans.get(endpoints)
+        if plan is None:
+            plan = self._plan(endpoints)
+        path, as_path, boundaries, access, access_suffix = plan
+        if path is not None:
+            return path
         if as_path is None:
             _UNROUTABLE.inc()
             return None
-        _ROUTES.inc()
+        crc32 = zlib.crc32
+        key_crc = None
+        city = src_city
+        links = []
+        for group, current_as, next_as, suffix in boundaries:
+            if group is None:  # hot potato: the exit depends on where the flow is
+                group = self._nearest_links(current_as, next_as, city)
+            if len(group) == 1:
+                link = group[0]  # modulo of anything is 0; skip the hash
+            else:
+                if key_crc is None:
+                    key_crc = crc32(str(flow_key).encode("utf-8"))
+                link = group[crc32(suffix, key_crc) % len(group)]
+            links.append(link)
+            city = link[1]
+        if len(access) > 1:
+            if key_crc is None:
+                key_crc = crc32(str(flow_key).encode("utf-8"))
+            access_choice = access[crc32(access_suffix, key_crc) % len(access)]
+        else:
+            access_choice = access[0] if access else None
+        return self._interned(endpoints, as_path, links, access_choice)
 
-        # Resolve every flow-dependent choice up front: the ECMP link pick
-        # at each boundary and the access-router pick. The assembled path
-        # is a pure function of these plus the endpoints, so flows whose
-        # hashes land on the same choices can share one interned object.
-        selected: list[Interconnect] = []
-        current_city = src_city
-        # flow_hash() renders every part with str(); rendering the (often
-        # nested-tuple) flow key once here feeds every per-boundary hash
-        # the identical text.
-        flow_text = str(flow_key)
-        for position in range(len(as_path) - 1):
-            link = self._select_link(
-                as_path[position], as_path[position + 1],
-                current_city, dst_city, flow_text, position,
-            )
-            if link is None:
-                return None  # AS adjacency with no fabric realization
-            selected.append(link)
-            current_city = link.city_code
-        access_choice = self._access_choice(dst_asn, dst_city, flow_text)
-
-        if self._segment_cache_size:
-            key = (
-                src_asn, src_city, dst_asn, dst_city,
-                tuple(link.link_id for link in selected), access_choice,
-            )
-            cached = self._path_cache.get(key)
-            if cached is not None:
-                _PATH_HITS.inc()
-                return cached
-            _PATH_MISSES.inc()
-
-        path = self._assemble(
-            src_asn, src_city, dst_asn, dst_city, as_path, selected, access_choice
-        )
-        if self._segment_cache_size:
-            self._path_cache[key] = path
-            if len(self._path_cache) > self._segment_cache_size:
-                self._path_cache.popitem(last=False)
-        return path
+    #: The batch resolver calls the routine under this name, so wrappers
+    #: installed on :meth:`route_flow` see scalar calls only.
+    _route = route_flow
 
     def resolve_paths_batch(
         self,
@@ -235,175 +230,113 @@ class Forwarder:
         Each request is ``(src_asn, src_city, dst_asn, dst_city,
         flow_key)``; the result list is order-aligned with the input and
         every entry is *identical* (same interned object where caching is
-        on) to what :meth:`route_flow` returns for that request — batching
-        only hoists work that is constant across a (src, dst) endpoint
-        group: the AS-path lookup, the per-boundary egress-policy coins,
-        the cold-potato candidate groups, the access-router candidates,
-        and the rendered crc32 suffixes of the per-boundary ECMP hashes.
-        The flow-dependent hashes themselves are computed per flow from
-        exactly the bytes :func:`flow_hash` would hash, so every ECMP and
-        access pick lands on the same member as the scalar walk.
+        on) to what :meth:`route_flow` returns for that request: both run
+        the flow through its endpoint pair's plan.
         """
-        results: list[ForwardingPath | None] = [None] * len(requests)
-        groups: dict[tuple[int, str, int, str], list] = {}
-        flow_memo = self._flow_memo
-        memo_hits = 0
-        for index, request in enumerate(requests):
-            try:
-                cached = flow_memo.get(request)
-            except TypeError:  # unhashable flow key — resolve uncached
-                cached = None
-            if cached is not None:
-                results[index] = cached
-                memo_hits += 1
-                continue
-            src_asn, src_city, dst_asn, dst_city, flow_key = request
-            groups.setdefault((src_asn, src_city, dst_asn, dst_city), []).append(
-                (index, flow_key, request)
-            )
-        _BATCH_FLOWS.inc(len(requests))
-        _BATCH_GROUPS.inc(len(groups))
-        if memo_hits:
-            _ROUTES.inc(memo_hits)
-            _FLOW_MEMO_HITS.inc(memo_hits)
-        crc32 = zlib.crc32
-        nearest_links = self._nearest_links
-        cache_size = self._segment_cache_size
-        path_cache = self._path_cache
-        egress_memo = self._egress_memo
-        route_flow = self.route_flow
+        route = self._route
+        return [route(*request) for request in requests]
 
-        for (src_asn, src_city, dst_asn, dst_city), members in groups.items():
-            if len(members) == 1:
-                # Singleton group: the hoisted constants cannot amortize,
-                # so the scalar walk is strictly cheaper.
-                index, flow_key, request = members[0]
-                path = route_flow(src_asn, src_city, dst_asn, dst_city, flow_key)
-                results[index] = path
-                if path is not None and cache_size:
-                    try:
-                        flow_memo[request] = path
-                    except TypeError:
-                        pass  # unhashable flow key
-                    else:
-                        if len(flow_memo) > cache_size:
-                            flow_memo.popitem(last=False)
-                continue
-            as_path = self._cached_as_path(src_asn, dst_asn)
-            if as_path is None:
-                _UNROUTABLE.inc(len(members))
-                continue
-            _ROUTES.inc(len(members))
+    # ------------------------------------------------------------------
+    # route plans
 
-            # Per-boundary constants: (honours-MED, crc suffix bytes, and —
-            # for cold-potato boundaries, whose anchor is the fixed
-            # destination metro — the resolved candidate group).
-            boundary_consts: list[tuple[int, int, bool, bytes, tuple | None]] = []
-            for position in range(len(as_path) - 1):
-                current_as = as_path[position]
-                next_as = as_path[position + 1]
-                policy_key = (current_as, next_as, dst_city)
-                honors_med = egress_memo.get(policy_key)
-                if honors_med is None:
-                    honors_med = (
-                        flow_hash("egress-policy", current_as, next_as, dst_city) % 2 == 0
-                    )
-                    if len(egress_memo) >= 1_048_576:
-                        egress_memo.clear()
-                    egress_memo[policy_key] = honors_med
-                suffix = ("|%d|%d|%d" % (current_as, next_as, position)).encode("utf-8")
-                cold_nearest = (
-                    nearest_links(current_as, next_as, dst_city) if honors_med else None
-                )
-                boundary_consts.append(
-                    (current_as, next_as, honors_med, suffix, cold_nearest)
-                )
+    def _tables(self):
+        """The compiled world forwarding reads, resolved on first use."""
+        world = self._world
+        if world is None:
+            # Imported here: repro.net's package imports its TCP model,
+            # which imports this module.
+            from repro.net.compiled import compile_world
 
-            # Access candidates, exactly as _access_choice builds them.
-            access_key = (dst_asn, dst_city)
-            candidates = self._access_cache.get(access_key) if cache_size else None
-            if candidates is None:
-                candidates = tuple(
-                    (router.router_id, interfaces[0].ip if interfaces else 0)
-                    for router in self._internet.fabric.access_routers_of(dst_asn, dst_city)
-                    for interfaces in (self._internet.fabric.interfaces_of(router.router_id),)
-                )
-                if cache_size:
-                    self._access_cache[access_key] = candidates
-            access_suffix = ("|access|%d|%s" % (dst_asn, dst_city)).encode("utf-8")
+            world = self._world = compile_world(self._internet)
+        return world
 
-            for index, flow_key, request in members:
-                flow_bytes = str(flow_key).encode("utf-8")
-                selected: list[Interconnect] = []
-                current_city = src_city
-                routable = True
-                for current_as, next_as, honors_med, suffix, cold_nearest in boundary_consts:
-                    nearest = (
-                        cold_nearest
-                        if honors_med
-                        else nearest_links(current_as, next_as, current_city)
-                    )
-                    if not nearest:
-                        routable = False
-                        break
-                    if len(nearest) == 1:
-                        link = nearest[0]
-                    else:
-                        link = nearest[crc32(flow_bytes + suffix) % len(nearest)]
-                    selected.append(link)
-                    current_city = link.city_code
-                if not routable:
-                    continue  # AS adjacency with no fabric realization
-                if not candidates:
-                    access_choice = None
-                elif len(candidates) == 1:
-                    access_choice = candidates[0]
+    def _plan(self, endpoints: tuple[int, str, int, str]) -> tuple:
+        """Build (and, with caching on, keep) one endpoint pair's plan."""
+        src_asn, src_city, dst_asn, dst_city = endpoints
+        as_path = self._cached_as_path(src_asn, dst_asn)
+        plan = _NO_ROUTE if as_path is None else self._make_plan(endpoints, as_path)
+        if self._segment_cache_size:
+            self._plans[endpoints] = plan
+            if len(self._plans) > self._segment_cache_size:
+                self._plans.popitem(last=False)
+        return plan
+
+    def _make_plan(self, endpoints: tuple[int, str, int, str], as_path: tuple[int, ...]) -> tuple:
+        """Resolve everything about a route that no flow key changes.
+
+        Egress policy is a deterministic mix: for half of the
+        (AS pair, destination region) combinations the boundary honours the
+        next AS's MEDs and exits near the *destination* (cold potato), a
+        candidate group fixed for the whole plan; for the rest it exits
+        near the flow's current position (hot potato), which depends on
+        the links picked before it. This mix is what lets a single
+        server's tests cross interconnects in several metros — the Table 2
+        observation (one Atlanta server's AT&T tests crossing links in
+        Atlanta, Washington DC, and New York).
+        """
+        src_asn, src_city, dst_asn, dst_city = endpoints
+        world = self._tables()
+        boundaries = []
+        # The links every flow takes, while no pick has depended on the key.
+        fixed: list[tuple] | None = []
+        city = src_city
+        for position in range(len(as_path) - 1):
+            current_as = as_path[position]
+            next_as = as_path[position + 1]
+            if not world.links_between(current_as, next_as):
+                return _NO_ROUTE  # AS adjacency with no fabric realization
+            group = None
+            if flow_hash("egress-policy", current_as, next_as, dst_city) % 2 == 0:
+                group = self._nearest_links(current_as, next_as, dst_city)
+            if fixed is not None:
+                choices = group or self._nearest_links(current_as, next_as, city)
+                if len(choices) == 1:
+                    fixed.append(choices[0])
+                    city = choices[0][1]
                 else:
-                    access_choice = candidates[
-                        crc32(flow_bytes + access_suffix) % len(candidates)
-                    ]
-                path = None
-                if cache_size:
-                    key = (
-                        src_asn, src_city, dst_asn, dst_city,
-                        tuple(link.link_id for link in selected), access_choice,
-                    )
-                    path = path_cache.get(key)
-                    if path is not None:
-                        _PATH_HITS.inc()
-                    else:
-                        _PATH_MISSES.inc()
-                if path is None:
-                    path = self._assemble(
-                        src_asn, src_city, dst_asn, dst_city,
-                        as_path, selected, access_choice,
-                    )
-                    if cache_size:
-                        path_cache[key] = path
-                        if len(path_cache) > cache_size:
-                            path_cache.popitem(last=False)
-                results[index] = path
-                if cache_size:
-                    try:
-                        flow_memo[request] = path
-                    except TypeError:
-                        pass  # unhashable flow key
-                    else:
-                        if len(flow_memo) > cache_size:
-                            flow_memo.popitem(last=False)
-        return results
+                    fixed = None
+            boundaries.append(
+                (group, current_as, next_as, f"|{current_as}|{next_as}|{position}".encode("utf-8"))
+            )
+        access = self._access_candidates(dst_asn, dst_city)
+        if fixed is not None and len(access) <= 1:
+            # No pick depends on the flow key: every flow gets one path.
+            path = self._interned(endpoints, as_path, fixed, access[0] if access else None)
+            return (path, as_path, None, None, None)
+        access_suffix = f"|access|{dst_asn}|{dst_city}".encode("utf-8")
+        return (None, as_path, tuple(boundaries), access, access_suffix)
+
+    def _interned(
+        self,
+        endpoints: tuple[int, str, int, str],
+        as_path: tuple[int, ...],
+        links: list[tuple],
+        access_choice: tuple[int, int] | None,
+    ) -> ForwardingPath:
+        """The shared path object for these choices (a fresh one when
+        caching is off)."""
+        link_ids = tuple([link[0] for link in links])
+        if not self._segment_cache_size:
+            return self._assemble(endpoints, as_path, links, link_ids, access_choice)
+        key = (*endpoints, link_ids, access_choice)
+        path = self._path_cache.get(key)
+        if path is None:
+            path = self._assemble(endpoints, as_path, links, link_ids, access_choice)
+            self._path_cache[key] = path
+            if len(self._path_cache) > self._segment_cache_size:
+                self._path_cache.popitem(last=False)
+        return path
 
     def _assemble(
         self,
-        src_asn: int,
-        src_city: str,
-        dst_asn: int,
-        dst_city: str,
+        endpoints: tuple[int, str, int, str],
         as_path: tuple[int, ...],
-        selected: list[Interconnect],
+        links: list[tuple],
+        link_ids: tuple[int, ...],
         access_choice: tuple[int, int] | None,
     ) -> ForwardingPath:
         """Expand resolved choices into the path's hop columns."""
+        src_asn, src_city, dst_asn, dst_city = endpoints
         routers: list[int] = []
         asns: list[int] = []
         cities: list[str] = []
@@ -422,12 +355,12 @@ class Forwarder:
 
         add_core(src_asn, src_city)
         current_city = src_city
-        for position, link in enumerate(selected):
+        for position, (_link_id, city, near_router, near_ip, far_router, far_ip) in enumerate(
+            links
+        ):
             current_as = as_path[position]
-            city = link.city_code
             if city != current_city:
                 add_core(current_as, city)  # backhaul to the exit metro
-            near_router, near_ip, far_router, far_ip = self._orient(link, current_as)
             routers += (near_router, far_router)
             asns += (current_as, as_path[position + 1])
             cities += (city, city)
@@ -443,28 +376,26 @@ class Forwarder:
         return ForwardingPath(
             src_asn=src_asn,
             dst_asn=dst_asn,
-            as_path=tuple(as_path),
+            as_path=as_path,
             hop_routers=tuple(routers),
             hop_asns=tuple(asns),
             hop_cities=tuple(cities),
             hop_ips=tuple(ips),
-            crossed_links=tuple(link.link_id for link in selected),
+            crossed_links=link_ids,
         )
 
     # ------------------------------------------------------------------
 
     def _cached_as_path(self, src_asn: int, dst_asn: int) -> tuple[int, ...] | None:
         """AS path as a memoized tuple (the BGP walk is per-hop dict
-        chasing; thousands of identical client→server pairs repeat it)."""
+        chasing; every endpoint pair between two ASes repeats it)."""
         if not self._segment_cache_size:
             path = self._routing.as_path(src_asn, dst_asn)
             return tuple(path) if path is not None else None
         key = (src_asn, dst_asn)
         cached = self._as_path_cache.get(key, _ABSENT)
         if cached is not _ABSENT:
-            _ASPATH_HITS.inc()
             return cached
-        _ASPATH_MISSES.inc()
         path = self._routing.as_path(src_asn, dst_asn)
         cached = tuple(path) if path is not None else None
         self._as_path_cache[key] = cached
@@ -479,41 +410,36 @@ class Forwarder:
         cache = self._core_hop_cache
         if self._segment_cache_size and key in cache:
             return cache[key]
+        world = self._tables()
         hop = None
-        core = self._internet.fabric.core_router_of(asn, city)
+        core = world.core_router_of(asn, city)
         if core is not None:
-            interfaces = self._internet.fabric.interfaces_of(core.router_id)
-            if interfaces:
-                hop = (core.router_id, interfaces[0].ip)
+            ip = world.first_interface_ip(core)
+            if ip is not None:
+                hop = (core, ip)
         if self._segment_cache_size:
             cache[key] = hop
         return hop
 
-    def _access_choice(
-        self, asn: int, city: str, flow_key: object
-    ) -> tuple[int, int] | None:
-        """Pick the last-mile aggregation hop, as (router_id, reply_ip).
+    def _access_candidates(self, asn: int, city: str) -> tuple[tuple[int, int], ...]:
+        """The last-mile aggregation hops a flow may end on, as
+        (router_id, reply_ip) in router-id order.
 
-        Returns None when the destination AS has no access routers in the
-        metro; a reply_ip of 0 marks an interface-less pick (the hop is
-        then omitted). Interface-less routers stay in the candidate list
-        so the flow-hash modulo matches the uncached walk exactly.
+        A reply_ip of 0 marks an interface-less router (its hop is then
+        omitted). Such routers stay in the list so the flow-hash modulo
+        matches the uncached walk exactly.
         """
         key = (asn, city)
         candidates = self._access_cache.get(key) if self._segment_cache_size else None
         if candidates is None:
+            world = self._tables()
             candidates = tuple(
-                (router.router_id, interfaces[0].ip if interfaces else 0)
-                for router in self._internet.fabric.access_routers_of(asn, city)
-                for interfaces in (self._internet.fabric.interfaces_of(router.router_id),)
+                (router_id, world.first_interface_ip(router_id) or 0)
+                for router_id in world.access_routers_of(asn, city)
             )
             if self._segment_cache_size:
                 self._access_cache[key] = candidates
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]  # modulo of anything is 0; skip the hash
-        return candidates[flow_hash(flow_key, "access", asn, city) % len(candidates)]
+        return candidates
 
     def _city_distance(self, a: str, b: str) -> float:
         if a == b:
@@ -525,85 +451,41 @@ class Forwarder:
             self._distance_cache[key] = cached
         return cached
 
-    def _select_link(
-        self,
-        current_as: int,
-        next_as: int,
-        current_city: str,
-        dst_city: str,
-        flow_key: object,
-        position: int,
-    ) -> Interconnect | None:
-        """Pick the interconnect for one AS boundary.
-
-        Egress policy is a deterministic mix: for half of the
-        (AS pair, destination region) combinations the boundary honours the
-        next AS's MEDs and exits near the *destination* (cold potato); for
-        the rest it exits near the flow's current position (hot potato).
-        This mix is what lets a single server's tests cross interconnects
-        in several metros — the Table 2 observation (one Atlanta server's
-        AT&T tests crossing links in Atlanta, Washington DC, and New York).
-        """
-        policy_key = (current_as, next_as, dst_city)
-        honors_med = self._egress_memo.get(policy_key)
-        if honors_med is None:
-            honors_med = (
-                flow_hash("egress-policy", current_as, next_as, dst_city) % 2 == 0
-            )
-            if len(self._egress_memo) >= 1_048_576:
-                self._egress_memo.clear()
-            self._egress_memo[policy_key] = honors_med
-        anchor_city = dst_city if honors_med else current_city
-        nearest = self._nearest_links(current_as, next_as, anchor_city)
-        if not nearest:
-            return None
-        if len(nearest) == 1:
-            return nearest[0]  # modulo of anything is 0; skip the hash
-        index = flow_hash(flow_key, current_as, next_as, position) % len(nearest)
-        return nearest[index]
-
     def _nearest_links(
         self, current_as: int, next_as: int, anchor_city: str
-    ) -> tuple[Interconnect, ...]:
+    ) -> tuple[tuple, ...]:
         """Equally-nearest interconnects for one boundary, memoized.
 
         This is the path segment repeated client→server flows share: the
         candidate group depends only on the AS pair and the anchor metro,
         never on the flow key, so memoizing it cannot change which member
-        a given flow hashes onto.
+        a given flow hashes onto. The world lists each pair's links in
+        link-id order, which the filter keeps.
         """
         key = (current_as, next_as, anchor_city)
         if self._segment_cache_size:
             cached = self._segment_cache.get(key)
             if cached is not None:
-                _SEG_HITS.inc()
                 return cached
-            _SEG_MISSES.inc()
-        candidates = self._internet.fabric.links_between(current_as, next_as)
+        candidates = []
+        for link_id, a_asn, b_asn, a_router, b_router, a_ip, b_ip, city in (
+            self._tables().links_between(current_as, next_as)
+        ):
+            if a_asn == current_as:
+                candidates.append((link_id, city, a_router, a_ip, b_router, b_ip))
+            elif b_asn == current_as:
+                candidates.append((link_id, city, b_router, b_ip, a_router, a_ip))
+            else:
+                raise ValueError(f"AS{current_as} not an endpoint of link {link_id}")
+        nearest: tuple[tuple, ...] = ()
         if candidates:
-            best_distance = min(
-                self._city_distance(anchor_city, c.city_code) for c in candidates
-            )
+            distances = [self._city_distance(anchor_city, c[1]) for c in candidates]
+            best_distance = min(distances)
             nearest = tuple(
-                sorted(
-                    (c for c in candidates
-                     if self._city_distance(anchor_city, c.city_code) <= best_distance + 1e-9),
-                    key=lambda c: c.link_id,
-                )
+                c for c, d in zip(candidates, distances) if d <= best_distance + 1e-9
             )
-        else:
-            nearest = ()
         if self._segment_cache_size:
             self._segment_cache[key] = nearest
             if len(self._segment_cache) > self._segment_cache_size:
                 self._segment_cache.popitem(last=False)
         return nearest
-
-    @staticmethod
-    def _orient(link: Interconnect, near_asn: int) -> tuple[int, int, int, int]:
-        """Return (near_router, near_ip, far_router, far_ip) for ``near_asn``."""
-        if link.a_asn == near_asn:
-            return link.a_router_id, link.a_ip, link.b_router_id, link.b_ip
-        if link.b_asn == near_asn:
-            return link.b_router_id, link.b_ip, link.a_router_id, link.a_ip
-        raise ValueError(f"AS{near_asn} not an endpoint of link {link.link_id}")

@@ -121,6 +121,12 @@ class Internet:
             self._client_prefixes, self._infra_prefixes,
         )
 
+    def router_columns(self):
+        """(ASN, metro code, role code) arrays per router, straight from
+        the recorder; see
+        :meth:`~repro.topology.tables.WorldTableRecorder.router_columns`."""
+        return self._meta.router_columns()
+
     def materialize(self) -> "Internet":
         """Force-build every object view (the eager pre-PR-8 shape)."""
         self.graph

@@ -332,6 +332,16 @@ class WorldTableRecorder:
             "prefixes": announced,
         }
 
+    def router_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ASN, metro code, ``ROUTER_ROLE_CODES`` code) per router, row
+        ``router id - 1``: the router meta behind the compiled world's
+        core and access lookups."""
+        return (
+            self._router_asns.array(),
+            self._router_cities.array(),
+            self._router_roles.array(),
+        )
+
     # -- assembly --------------------------------------------------------
 
     def finalize(self) -> dict[str, np.ndarray]:

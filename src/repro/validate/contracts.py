@@ -20,10 +20,11 @@ The registered invariants:
   groups) agrees with the router fabric and the AS graph;
 * ``compiled.world_agreement`` — the structure-of-arrays snapshot
   (:mod:`repro.net.compiled`) answers LPM origin, IXP screening,
-  AS-adjacency, router-fabric, and interconnect queries identically to
-  the object graph, and the table-first builder's arrays (generator
-  recorder or persisted snapshot) are bit-identical to a fresh
-  object-graph derivation;
+  AS-adjacency, router-fabric, interconnect and forwarding (core and
+  access routers per metro, first interfaces, links per AS pair) queries
+  identically to the object graph, and the table-first builder's arrays
+  (generator recorder or persisted snapshot) are bit-identical to a
+  fresh object-graph derivation;
 * ``coverage.numerator_subset`` — §5 coverage reports keep every
   numerator inside its denominator's universe and every fraction in
   [0, 1];
@@ -318,6 +319,38 @@ def _compiled_agreement(ctx: WorldContext) -> list[str]:
                 f"interconnect_view({link.link_id}) disagrees with the fabric object"
             )
 
+    # --- forwarding lookups, exhaustively: every (AS, metro) and every
+    # AS pair that is adjacent or linked, in both orders ---
+    from repro.topology.geo import CITIES
+
+    for asn in asns:
+        for city in CITIES:
+            core = fabric.core_router_of(asn, city.code)
+            expected_core = None if core is None else core.router_id
+            if world.core_router_of(asn, city.code) != expected_core:
+                violations.append(f"core_router_of(AS{asn}, {city.code}) disagrees with fabric")
+            expected_access = tuple(
+                r.router_id for r in fabric.access_routers_of(asn, city.code)
+            )
+            if world.access_routers_of(asn, city.code) != expected_access:
+                violations.append(
+                    f"access_routers_of(AS{asn}, {city.code}) disagrees with fabric"
+                )
+        for router in fabric.routers_of_as(asn):
+            ports = fabric.interfaces_of(router.router_id)
+            if world.first_interface_ip(router.router_id) != (ports[0].ip if ports else None):
+                violations.append(f"first_interface_ip(r{router.router_id}) disagrees")
+    pairs = {link.as_pair() for link in links}
+    pairs.update((a, b) for a in asns for b in graph.neighbors(a) if a < b)
+    for a, b in sorted(pairs):
+        expected_rows = tuple(
+            (l.link_id, l.a_asn, l.b_asn, l.a_router_id, l.b_router_id,
+             l.a_ip, l.b_ip, l.city_code)
+            for l in fabric.links_between(a, b)
+        )
+        if world.links_between(a, b) != expected_rows or world.links_between(b, a) != expected_rows:
+            violations.append(f"links_between(AS{a}, AS{b}) disagrees with fabric")
+
     # --- table-first builder vs object-graph derivation ---
     # Whatever path built `world` (generator-emitted tables, a persisted
     # snapshot, or the object walk itself), every array must be
@@ -327,7 +360,7 @@ def _compiled_agreement(ctx: WorldContext) -> list[str]:
     from repro.net.compiled import compile_from_object_graph
 
     reference = compile_from_object_graph(internet)
-    for name in type(world)._ARRAY_FIELDS:
+    for name in type(world)._ARRAY_FIELDS + type(world)._ROUTER_FIELDS:
         ours = getattr(world, name)
         theirs = getattr(reference, name)
         if ours.dtype != theirs.dtype or ours.shape != theirs.shape:

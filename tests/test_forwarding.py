@@ -123,7 +123,7 @@ class _InsertLog(OrderedDict):
 
 
 class TestCacheEviction:
-    BOUNDED = ("_segment_cache", "_as_path_cache", "_path_cache", "_flow_memo")
+    BOUNDED = ("_segment_cache", "_as_path_cache", "_path_cache", "_plans")
 
     def test_bounded_caches_keep_newest_keys_in_insertion_order(self, tiny_internet):
         fwd = Forwarder(tiny_internet, BGPRouting(tiny_internet.graph), segment_cache_size=4)

@@ -49,7 +49,9 @@ class TestUntracked:
                 assert not gc.is_tracked(getattr(record, name)), name
 
         forwarder = small_study.forwarder
-        paths = list(forwarder._path_cache.values()) + list(forwarder._flow_memo.values())
+        paths = list(forwarder._path_cache.values()) + [
+            plan[0] for plan in forwarder._plans.values() if plan[0] is not None
+        ]
         assert paths
         for path in paths:
             for name in PATH_COLUMNS:

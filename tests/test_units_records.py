@@ -1,5 +1,7 @@
 """Tests for units helpers and measurement records."""
 
+import pickle
+
 import pytest
 
 from repro.measurement.records import NDTRecord, TracerouteRecord
@@ -68,3 +70,58 @@ class TestTracerouteRecord:
         # (should not happen, but must not silently drop a router hop).
         trace = self._trace([10, 55], [1.0, 2.0], reached=True)
         assert trace.router_hop_ips() == (10, 55)
+
+
+class TestRecordsAsTuples:
+    """Records are named tuples; what the digests and the artifact cache
+    read of them is what the frozen dataclasses gave: the ``repr`` byte
+    for byte, the hash of the field tuple, and pickles that load back."""
+
+    NDT = NDTRecord(
+        test_id=7, timestamp_s=3600.5, local_hour=1.0001388888888889, client_ip=167772161,
+        server_id=3, server_ip=3232235777, server_asn=3356, server_city="atl",
+        download_bps=24123456.789, rtt_ms=21.25, retx_rate=0.0125, congestion_signals=2,
+        gt_client_asn=7922, gt_client_org="Comcast", gt_crossed_links=(41, 7),
+        gt_bottleneck_link=41, gt_bottleneck_kind="interconnect", rtt_min_ms=19.5,
+        rtt_max_ms=88.0, upload_bps=4.5e6,
+    )
+    TRACE = TracerouteRecord(
+        trace_id=5, timestamp_s=3611.5, src_ip=3232235777, src_asn=3356,
+        dst_ip=167772161, hop_ips=(3232235778, None, 167772161),
+        hop_rtts=(1.5, None, 22.75), reached_destination=True,
+        gt_crossed_links=(41,), gt_as_path=(3356, 7922),
+    )
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(self.NDT) == (
+            "NDTRecord(test_id=7, timestamp_s=3600.5, local_hour=1.000138888888889, "
+            "client_ip=167772161, server_id=3, server_ip=3232235777, server_asn=3356, "
+            "server_city='atl', download_bps=24123456.789, rtt_ms=21.25, "
+            "retx_rate=0.0125, congestion_signals=2, gt_client_asn=7922, "
+            "gt_client_org='Comcast', gt_crossed_links=(41, 7), gt_bottleneck_link=41, "
+            "gt_bottleneck_kind='interconnect', rtt_min_ms=19.5, rtt_max_ms=88.0, "
+            "upload_bps=4500000.0)"
+        )
+        assert repr(self.TRACE) == (
+            "TracerouteRecord(trace_id=5, timestamp_s=3611.5, src_ip=3232235777, "
+            "src_asn=3356, dst_ip=167772161, hop_ips=(3232235778, None, 167772161), "
+            "hop_rtts=(1.5, None, 22.75), reached_destination=True, "
+            "gt_crossed_links=(41,), gt_as_path=(3356, 7922))"
+        )
+
+    @pytest.mark.parametrize("record", (NDT, TRACE), ids=("ndt", "trace"))
+    def test_hash_is_the_field_tuple_hash(self, record):
+        fields = tuple(getattr(record, name) for name in type(record)._fields)
+        assert hash(record) == hash(fields)
+        assert record == type(record)(*fields)
+
+    @pytest.mark.parametrize("record", (NDT, TRACE), ids=("ndt", "trace"))
+    def test_pickle_round_trip(self, record):
+        loaded = pickle.loads(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(loaded) is type(record)
+        assert loaded == record and repr(loaded) == repr(record)
+
+    def test_defaults_and_properties_kept(self):
+        assert _record().upload_bps == 0.0
+        assert self.NDT.upload_mbps == 4.5
+        assert self.TRACE.router_hop_ips() == (3232235778, None)
