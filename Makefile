@@ -26,7 +26,8 @@ validate-smoke:
 fuzz:
 	HYPOTHESIS_PROFILE=ci $(PYTHON) -m pytest -q \
 		tests/test_validate_properties.py tests/test_property_util.py \
-		tests/test_inference_properties.py tests/test_route_plans.py
+		tests/test_inference_properties.py tests/test_route_plans.py \
+		tests/test_diurnal.py
 
 # Tier-1 coverage with a floor on the packages the validation layer
 # guards. Needs the pytest-cov dev dependency; fails fast with a hint

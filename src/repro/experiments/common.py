@@ -173,7 +173,7 @@ def probe_exemplar_flows(
     # and the probe recorder sees the same series in the same order.
     tcp.observe_batch(
         paths, request_hours, rates, home_factors, [0.0] * len(paths),
-        probe_keys=keys, with_noise=[False] * len(paths),
+        keys, [False] * len(paths),
     )
     recorded = len(paths)
     _log.info("recorded %d exemplar flow-probe series (%s)", recorded, label)

@@ -111,13 +111,13 @@ class TSLPProber:
         near_router = self._internet.fabric.router(link.a_router_id)
         base_path_ms = self._vantage_to_border_ms(vp_asn, vp_city, near_router.city_code)
         link_prop_ms = 0.2  # metro-local border hop
+        params = self._links.params(link.link_id)
         samples = []
         for hour_index in range(24):
             for round_index in range(rounds_per_hour):
                 hour = hour_index + round_index / rounds_per_hour
                 upstream_noise = abs(self._rng.gauss(0.0, jitter_ms))
                 near_rtt = base_path_ms + upstream_noise + self._rng.uniform(0, jitter_ms)
-                params = self._links.params(link.link_id)
                 queue_ms = params.queue_delay_ms(hour)
                 if params.utilization(hour) >= 1.0:
                     # Saturated: a standing queue — every probe pays it.

@@ -278,10 +278,6 @@ class CompiledWorld:
             views[link_id] = view
         return view
 
-    def interconnect_views(self) -> list[Interconnect]:
-        """Every interconnect as a lazy view, in link-id order."""
-        return [self.interconnect_view(int(i)) for i in self.link_ids]
-
     # ------------------------------------------------------------------
     # forwarding lookups: what router-level path expansion reads
 

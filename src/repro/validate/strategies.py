@@ -75,8 +75,8 @@ def observe_requests(paths, max_size: int = 12):
     lists, one entry per transfer (``probe_keys`` is None: no probes).
     ``paths`` is a non-empty sequence of :class:`ForwardingPath` objects
     from an already-built world; hours deliberately range outside a
-    campaign's 0–24 window (negative and multi-day) because the batch
-    tables must behave there too.
+    campaign's 0–24 window (negative and multi-day) because the link
+    columns must behave there too.
     """
     _require_hypothesis()
 

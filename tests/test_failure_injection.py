@@ -8,6 +8,7 @@ raising or fabricating findings.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.congestion import classify_series, diurnal_series
@@ -191,18 +192,23 @@ class TestBatchPathDegradation:
         assert inferred.links == []
 
     def test_link_tables_outside_campaign_window_match_scalar(self, tiny_internet):
-        """Hours before 0 and past the campaign's last day must hit the
-        same diurnal cells as the scalar path (both are 24h-periodic)."""
-        from repro.net.batch import LinkTableSet
+        """Hours before 0 and past the campaign's last day must give the
+        same link state from the columns as from the scalar path (both
+        are 24h-periodic)."""
         from repro.net.link import ProvisioningConfig, provision_links
 
         links = provision_links(tiny_internet,
                                 ProvisioningConfig(seed=7, directives=()))
-        tables = LinkTableSet(links)
-        link_ids = list(links.param_map())[:20]
+        link_ids = np.flatnonzero(links.provisioned)[:20]
+
+        def cells_at(hour):
+            state = links.state(link_ids, np.full(len(link_ids), hour))
+            return list(zip(*(column.tolist() for column in state)))
+
         for hour in (-30.0, -0.25, 24.0, 47.5, 24 * 28 + 3.0, 1e4):
-            for link_id in link_ids:
-                cell = tables.cell(link_id, hour)
+            for link_id, cell, wrapped_cell in zip(
+                link_ids.tolist(), cells_at(hour), cells_at(hour % 24.0)
+            ):
                 params = links.params(link_id)
                 assert cell == (
                     params.loss_rate(hour),
@@ -210,4 +216,4 @@ class TestBatchPathDegradation:
                     params.utilization(hour) >= 1.0,
                     params.available_bps(hour),
                 )
-                assert cell == tables.cell(link_id, hour % 24.0)
+                assert cell == wrapped_cell

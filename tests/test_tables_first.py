@@ -82,7 +82,7 @@ class TestLazyLinkViews:
     def test_interconnect_views_equal_fabric_objects(self, tiny_internet):
         world = compile_world(tiny_internet)
         fabric_links = tiny_internet.fabric.interconnects()
-        views = world.interconnect_views()
+        views = [world.interconnect_view(int(i)) for i in world.link_ids]
         assert len(views) == len(fabric_links)
         for view, link in zip(views, fabric_links):
             assert view == link
