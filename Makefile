@@ -46,7 +46,8 @@ trace-smoke:
 	rm -f run_manifest.json trace.json
 	$(PYTHON) -m repro.experiments fig1 --trace --jobs 2
 	$(PYTHON) -c "import json; m = json.load(open('run_manifest.json')); \
-	assert m['schema'] == 'repro.obs/run-manifest/v2', m['schema']; \
+	assert m['schema'] == 'repro.obs/run-manifest/v3', m['schema']; \
+	assert not {'flow_probes', 'timeseries', 'profile'} & set(m), sorted(m); \
 	assert 'fig1' in m['experiments'], m['experiments']; \
 	assert m['resource']['peak_rss_bytes'], m['resource']; \
 	assert m['phases'], 'empty phases table'; \

@@ -45,10 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=("nearest", "regional", "direct"))
     campaign.add_argument("--out", required=True, help="NDT CSV path")
     campaign.add_argument("--traces", help="traceroute JSONL path")
-    campaign.add_argument("--telemetry-port", type=int, default=None, metavar="PORT",
-                          help="serve live /metrics /healthz /snapshot on "
-                               "localhost:PORT while the campaign runs "
-                               "(0 = ephemeral)")
     campaign.add_argument("--ground-truth", action="store_true",
                           help="include gt_* columns (not part of a public export)")
     campaign.add_argument("--validate", action="store_true",
@@ -65,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="process-pool width for fan-out (>= 1)")
     experiments.add_argument("--trace", action="store_true",
                              help="print the span tree and write trace.json")
-    experiments.add_argument("--probe-flows", action="store_true",
-                             help="record tcp_probe-style exemplar flow series")
     experiments.add_argument("--validate", action="store_true",
                              help="run fast world contracts while building the study")
 
@@ -132,8 +126,6 @@ def main(argv: list[str] | None = None) -> int:
                      "--log-level", args.log_level]
         if args.trace:
             forwarded.append("--trace")
-        if args.probe_flows:
-            forwarded.append("--probe-flows")
         if args.log_json:
             forwarded.append("--log-json")
         return experiments_main(forwarded)
@@ -247,26 +239,16 @@ def _cmd_campaign(args) -> int:
     from repro.data.ndt_io import write_ndt_csv, write_traceroutes_jsonl
     from repro.platforms.campaign import CampaignConfig
 
-    server = None
-    if args.telemetry_port is not None:
-        from repro.obs import serve
-
-        server = serve.start_telemetry(args.telemetry_port)
-        print(f"telemetry: {server.url}/metrics while the campaign runs")
-    try:
-        study = build_study(StudyConfig(seed=args.seed))
-        result = study.run_campaign(
-            CampaignConfig(
-                seed=args.seed,
-                days=args.days,
-                total_tests=args.tests,
-                orgs=tuple(args.orgs) if args.orgs else None,
-                selection_policy=args.policy,
-            )
+    study = build_study(StudyConfig(seed=args.seed))
+    result = study.run_campaign(
+        CampaignConfig(
+            seed=args.seed,
+            days=args.days,
+            total_tests=args.tests,
+            orgs=tuple(args.orgs) if args.orgs else None,
+            selection_policy=args.policy,
         )
-    finally:
-        if server is not None:
-            server.stop()
+    )
     rows = write_ndt_csv(result.ndt_records, args.out, args.ground_truth)
     print(f"wrote {rows} NDT rows to {args.out}")
     if args.traces:

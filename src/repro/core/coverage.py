@@ -191,14 +191,14 @@ def vp_coverage_report(
     across processes and still merge byte-identical results.
     """
     internet = study.internet
-    with span("vp_sweep", vp=vp.label):
+    with span("core.coverage.vp_report", vp=vp.label):
         engine = TracerouteEngine(
             internet,
             study.forwarder,
             TracerouteConfig(seed=study.config.seed),
             stream=f"coverage:{vp.code}",
         )
-        with span("bdrmap_traces"):
+        with span("inference.bdrmap.collect_traces"):
             bdrmap_traces = collect_bdrmap_traces(
                 internet, vp, engine, max_prefixes=max_prefixes
             )
@@ -215,7 +215,7 @@ def vp_coverage_report(
                 ),
                 "alexa": collect_target_traces(internet, vp, engine, alexa_targets, "alexa"),
             }
-        with span("coverage_analysis"):
+        with span("core.coverage.analysis"):
             report = coverage_analysis(
                 internet, vp, bdrmap_traces, platform_traces, study.oracle
             )

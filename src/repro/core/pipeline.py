@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.inference.borders import OriginOracle
-from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.measurement.traceroute import TracerouteConfig, TracerouteEngine
@@ -47,8 +46,6 @@ def study_cache_stats() -> dict[str, int]:
 
 
 register_worker_stats("study_cache", study_cache_stats)
-
-_BUILD_WALL = obs_metrics.histogram("pipeline.build_study_s")
 
 #: The congestion scenario of the 2014/2015 M-Lab reports: AT&T's GTT
 #: interconnects saturate at peak (the Figure 5(a) case); Verizon↔TATA and
@@ -194,12 +191,12 @@ def build_study(config: StudyConfig | None = None) -> Study:
 
     _STUDY_POOL_STATS["rebuilds"] += 1
     start = time.perf_counter()
-    with span("build_study", seed=config.seed, scale=config.scale, epoch=config.epoch):
-        with span("generate_internet"):
+    with span("pipeline.build_study", seed=config.seed, scale=config.scale, epoch=config.epoch):
+        with span("topology.generate_internet"):
             internet = generate_internet(
                 InternetConfig(seed=config.seed, scale=config.scale, epoch=config.epoch)
             )
-        with span("provision_links"):
+        with span("net.link.provision_links"):
             links = provision_links(
                 internet,
                 ProvisioningConfig(
@@ -226,7 +223,6 @@ def build_study(config: StudyConfig | None = None) -> Study:
             org_names = {
                 org.primary: org.name for org in internet.orgs.organizations()
             }
-    _BUILD_WALL.observe(time.perf_counter() - start)
     _log.info(
         "built study world in %.1fs (seed=%d scale=%s, %d ASes, %d client orgs)",
         time.perf_counter() - start,

@@ -7,9 +7,6 @@
     python -m repro.experiments all --jobs 4       # fan experiments out too
     python -m repro.experiments fig1 --profile     # cProfile top-10 per id
     python -m repro.experiments fig1 --trace       # span tree + trace.json
-    python -m repro.experiments fig5 --probe-flows # tcp_probe-style series
-    python -m repro.experiments all --telemetry-port 9109  # live /metrics
-    python -m repro.experiments fig2 --sample-profile      # flamegraph
 
 ``--jobs N`` raises the session's parallelism: per-VP loops fan out
 inside each experiment, and ``all`` additionally distributes experiments
@@ -27,15 +24,9 @@ be diffed; ``--trace`` additionally prints the span tree and writes the
 machine-readable ``trace.json``. ``--log-level debug --log-json`` turns
 the pipeline's structured logs on as JSONL on stderr. ``--profile``
 wraps each experiment in cProfile and prints its top-10 functions by
-cumulative time (forces serial execution so the numbers mean something).
-
-``--telemetry-port PORT`` (or ``REPRO_TELEMETRY_PORT``) serves live
-``/metrics`` / ``/healthz`` / ``/snapshot`` on localhost while the run
-executes, with the cadence sampler recording per-phase rates;
-``--sample-profile`` (or ``REPRO_PROFILE=1``) runs the ~100 Hz sampling
-profiler, writes ``profile_folded.txt`` beside the manifest, and folds
-per-span CPU attribution into ``trace.json``. Both are telemetry:
-results are byte-identical with them on or off.
+cumulative time (forces serial execution so the numbers mean something);
+per-layer self time under the benchmark's names comes from a traced
+``layerbench/rep.py`` repetition instead.
 """
 
 from __future__ import annotations
@@ -43,14 +34,13 @@ from __future__ import annotations
 import argparse
 import cProfile
 import io
-import os
 import pstats
 import sys
 import time
 
 from repro.experiments import EXPERIMENTS, experiment_units
 from repro.experiments.base import ExperimentResult
-from repro.obs import flowprobe, manifest, metrics, trace
+from repro.obs import manifest, metrics, trace
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.trace import span
 from repro.util import artifact_cache
@@ -123,16 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="cProfile each experiment (forces serial)")
     parser.add_argument("--trace", action="store_true",
                         help="print the span tree and write trace.json")
-    parser.add_argument("--probe-flows", action="store_true",
-                        help="record tcp_probe-style series for exemplar flows")
-    parser.add_argument("--telemetry-port", type=int, default=None, metavar="PORT",
-                        help="serve live /metrics /healthz /snapshot on "
-                             "localhost:PORT while running (0 = ephemeral; "
-                             "default REPRO_TELEMETRY_PORT)")
-    parser.add_argument("--sample-profile", action="store_true",
-                        help="run the sampling profiler; writes "
-                             "profile_folded.txt and per-span CPU into "
-                             "trace.json (default REPRO_PROFILE=1)")
     parser.add_argument("--obs-dir", default=".", metavar="DIR",
                         help="directory for run_manifest.json / trace.json")
     parser.add_argument("--log-level", default="warning",
@@ -196,7 +176,7 @@ def main(argv: list[str]) -> int:
         for experiment_id in EXPERIMENTS:
             print(f"  {experiment_id}")
         print("usage: python -m repro.experiments <id>... | all "
-              "[--jobs N] [--trace] [--profile] [--probe-flows]")
+              "[--jobs N] [--trace] [--profile]")
         return 0
     run_all = ids == ["all"]
     if run_all:
@@ -210,43 +190,6 @@ def main(argv: list[str]) -> int:
     metrics.reset()
     trace.set_enabled(True)
     trace.reset()
-    if args.probe_flows:
-        flowprobe.activate(flowprobe.FlowProbeRecorder())
-
-    telemetry_port = args.telemetry_port
-    if telemetry_port is None:
-        env_port = os.environ.get("REPRO_TELEMETRY_PORT", "").strip()
-        if env_port:
-            try:
-                telemetry_port = int(env_port)
-            except ValueError:
-                print(f"ignoring unparsable REPRO_TELEMETRY_PORT={env_port!r}",
-                      file=sys.stderr)
-    server = None
-    if telemetry_port is not None:
-        from repro.obs import serve
-
-        server = serve.start_telemetry(telemetry_port)
-        print(f"telemetry: {server.url}/metrics while the run executes")
-    sampler = None
-    if server is None and os.environ.get("REPRO_TIMESERIES", "").strip().lower() in (
-        "1", "true", "yes", "on"
-    ):
-        # Record the cadence rings without serving them — the samples
-        # land in the manifest's "timeseries" section instead.
-        from repro.obs import timeseries as obs_timeseries
-
-        sampler = obs_timeseries.default_sampler().start()
-
-    sample_profile = args.sample_profile or (
-        os.environ.get("REPRO_PROFILE", "").strip().lower()
-        in ("1", "true", "yes", "on")
-    )
-    sampling_profiler = None
-    if sample_profile:
-        from repro.obs.profiler import SamplingProfiler
-
-        sampling_profiler = SamplingProfiler().start()
 
     _log.info("running %d experiment(s) with jobs=%d", len(ids), jobs)
 
@@ -281,29 +224,10 @@ def main(argv: list[str]) -> int:
         print(f"== {len(ids)} experiments in {wall_s:.1f}s total ==")
 
     # --- observability artifacts (beside the results, never inside) -----
-    profile_summary = None
-    if sampling_profiler is not None:
-        sampling_profiler.stop()
-        folded_path = sampling_profiler.write_folded(args.obs_dir)
-        profile_summary = sampling_profiler.summary()
-        print(f"sampling profile: {folded_path} "
-              f"({sampling_profiler.samples} samples @ {sampling_profiler.hz:g} Hz)")
-    timeseries_snapshot = None
-    if server is not None or sampler is not None:
-        if server is not None:
-            server.stop()
-        if sampler is not None:
-            sampler.stop()
-        from repro.obs import timeseries as obs_timeseries
-
-        timeseries_snapshot = obs_timeseries.snapshot()
     span_tree = trace.tree()
-    if sampling_profiler is not None:
-        sampling_profiler.annotate(span_tree)
     for experiment_id, duration in _experiment_durations(span_tree, ids).items():
         statuses[experiment_id]["duration_s"] = round(duration, 3)
     snapshot = metrics.snapshot()
-    probe_series = flowprobe.active().to_dict() if flowprobe.active() else []
     payload = manifest.build_manifest(
         ids=ids,
         jobs=jobs,
@@ -314,9 +238,6 @@ def main(argv: list[str]) -> int:
         pool_stats=pool_stats(),
         span_tree=span_tree,
         wall_s=wall_s,
-        flow_probes=probe_series,
-        timeseries_snapshot=timeseries_snapshot,
-        profile_summary=profile_summary,
         worldgen=_worldgen_stats(),
     )
     manifest_path = manifest.write_manifest(payload, args.obs_dir)
@@ -328,8 +249,6 @@ def main(argv: list[str]) -> int:
         cache_line = payload["cache"]
         print(f"cache: {cache_line['hits']} hits / {cache_line['misses']} misses; "
               f"pool: {pool_stats()}")
-    if args.probe_flows:
-        flowprobe.deactivate()
     return 0
 
 

@@ -11,8 +11,9 @@ class ExperimentResult:
     """A reproduced table or figure, as printable rows.
 
     ``notes`` carries headline scalars (and paper-reference values where
-    the paper states them) so EXPERIMENTS.md and assertions in benchmarks
-    can read them without parsing the table text.
+    the paper states them) so EXPERIMENTS.md and the shape gates
+    (:mod:`repro.validate.gates`) can read them without parsing the table
+    text.
     """
 
     experiment_id: str

@@ -19,7 +19,6 @@ from repro.core.matching import match_ndt_to_traceroutes
 from repro.core.pipeline import Study, StudyConfig, build_study
 from repro.inference.mapit import MapIt, MapItConfig, MapItResult
 from repro.measurement.records import NDTRecord, TracerouteRecord
-from repro.obs import flowprobe
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.platforms.campaign import CampaignConfig, CampaignResult
@@ -117,67 +116,6 @@ def coverage_reports(
     )
     _coverage_cache[key] = reports
     return reports
-
-
-def probe_exemplar_flows(
-    study: Study,
-    client_orgs: tuple[str, ...],
-    server_org: str,
-    hours: tuple[float, ...] = (4.0, 20.5),
-    label: str = "exemplar",
-) -> int:
-    """Record tcp_probe-style series for representative flows (opt-in).
-
-    When a flow-probe recorder is active, this routes one exemplar flow
-    per (client org, hour) from a ``server_org`` server to that org's
-    first client and probes the transfer. The probe runs on a *fresh*
-    reseeded TCP model with noise off, so it never touches the shared
-    measurement RNG — experiment outputs are identical whether or not
-    probing happened. Returns the number of series recorded.
-    """
-    probe = flowprobe.active()
-    if probe is None:
-        return 0
-    server_canonical = study.oracle.canonical(study.internet.as_named(server_org).asn)
-    servers = [
-        s for s in study.mlab.servers()
-        if study.oracle.canonical(s.asn) == server_canonical
-    ]
-    if not servers:
-        _log.warning("no %s-hosted servers to probe against", server_org)
-        return 0
-    tcp = study.tcp.reseeded(10_007)  # private stream; shared RNG untouched
-    paths, request_hours, rates, home_factors, keys = [], [], [], [], []
-    for org in client_orgs:
-        clients = study.population.clients_of(org)
-        if not clients:
-            continue
-        client = clients[0]
-        server = servers[0]
-        path = study.forwarder.route_flow(
-            server.asn, server.city, client.asn, client.city,
-            ("flowprobe", label, org, client.ip),
-        )
-        if path is None:
-            continue
-        for hour in hours:
-            key = f"{label}:{server_org}->{org}@{hour:04.1f}h"
-            if not probe.wants(key):
-                continue
-            paths.append(path)
-            request_hours.append(hour)
-            rates.append(client.plan_rate_bps)
-            home_factors.append(client.base_home_factor)
-            keys.append(key)
-    # One batched dispatch; with noise off there is no stream to preserve,
-    # and the probe recorder sees the same series in the same order.
-    tcp.observe_batch(
-        paths, request_hours, rates, home_factors, [0.0] * len(paths),
-        keys, [False] * len(paths),
-    )
-    recorded = len(paths)
-    _log.info("recorded %d exemplar flow-probe series (%s)", recorded, label)
-    return recorded
 
 
 def clear_caches() -> None:

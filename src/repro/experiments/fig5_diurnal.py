@@ -18,7 +18,7 @@ import math
 from repro.core.congestion import classify_series, diurnal_series
 from repro.core.pipeline import Study, build_study
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import analyzed_campaign, probe_exemplar_flows
+from repro.experiments.common import analyzed_campaign
 from repro.platforms.campaign import CampaignConfig
 
 #: Campaign focused on the two Figure 5 ISPs for dense hourly bins.
@@ -73,14 +73,6 @@ def run(study: Study | None = None) -> ExperimentResult:
         busy = [c for c in counts if c > 0]
         notes[f"{org}_min_hour_samples"] = min(busy) if busy else 0
         notes[f"{org}_max_hour_samples"] = max(counts)
-
-    # Opt-in flow probes: when a recorder is active, capture tcp_probe-style
-    # series for one exemplar AT&T flow and one Comcast flow at off-peak and
-    # peak hours — the per-tick cwnd/srtt view of why the AT&T transfer
-    # collapses (loss-limited sawtooth) while Comcast's merely dips
-    # (access-limited window with self-queueing). Results are unchanged;
-    # the series land in the recorder / run manifest only.
-    probe_exemplar_flows(study, ("ATT", "Comcast"), SOURCE_ORG, label="fig5")
 
     return ExperimentResult(
         experiment_id="fig5",

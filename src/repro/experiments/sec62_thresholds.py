@@ -15,7 +15,7 @@ from collections import defaultdict
 from repro.core.congestion import diurnal_series, threshold_sweep
 from repro.core.pipeline import DEFAULT_DIRECTIVES, Study, build_study
 from repro.experiments.base import ExperimentResult
-from repro.experiments.common import analyzed_campaign, probe_exemplar_flows
+from repro.experiments.common import analyzed_campaign
 
 THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9)
 MIN_SAMPLES = 200
@@ -47,11 +47,6 @@ def run(study: Study | None = None) -> ExperimentResult:
     truly_congested = sorted(
         f"{d.org_a}->{d.org_b}" for d in DEFAULT_DIRECTIVES
     )
-    # Opt-in flow probes for the threshold-ambiguity pairs: the truly
-    # congested AT&T aggregate next to the healthy-but-dipping Comcast one.
-    # The per-tick series show the mechanism the scalar threshold cannot
-    # separate; they go to the active recorder, never into the rows.
-    probe_exemplar_flows(study, ("ATT", "Comcast", "TimeWarnerCable"), "GTT", label="sec62")
     return ExperimentResult(
         experiment_id="sec62",
         title="Congestion verdicts vs detection threshold (all source->ISP aggregates)",

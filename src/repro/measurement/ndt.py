@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 from repro.measurement.records import NDTRecord
 from repro.net.tcp import ObservedBatch
-from repro.obs import flowprobe
 from repro.routing.forwarding import Forwarder, ForwardingPath
 
 
@@ -63,7 +62,7 @@ class PlannedBlock(NamedTuple):
     rows: list[int]
     test_ids: list[int]
     uploads: list[bool]
-    requests: tuple[list | None, ...]
+    requests: tuple[list, ...]
 
 
 class NDTRunner:
@@ -82,9 +81,6 @@ class NDTRunner:
         download and reports ``upload_bps == 0``.
         """
         route_flow = self._forwarder.route_flow
-        # Flow probing is opt-in; keys are only built when a recorder is
-        # active, so the default path allocates none.
-        probe_keys: list | None = [] if flowprobe.active() is not None else None
         rows: list[int] = []
         test_ids: list[int] = []
         uploads: list[bool] = []
@@ -111,8 +107,6 @@ class NDTRunner:
             req_rates.append(plan_rate)
             req_homes.append(home)
             req_losses.append(loss)
-            if probe_keys is not None:
-                probe_keys.append(("ndt", client.org_name, test_id))
             upstream = None
             if upload_rate > 0:
                 # Upstream phase: client → server over the *client's* best
@@ -128,12 +122,10 @@ class NDTRunner:
                     req_rates.append(upload_rate)
                     req_homes.append(home)
                     req_losses.append(loss)
-                    if probe_keys is not None:
-                        probe_keys.append(None)
             uploads.append(upstream is not None)
             test_id += 1
         self._next_test_id = test_id
-        requests = (req_paths, req_hours, req_rates, req_homes, req_losses, probe_keys)
+        requests = (req_paths, req_hours, req_rates, req_homes, req_losses)
         return PlannedBlock(block, rows, test_ids, uploads, requests)
 
     def complete(self, planned: PlannedBlock, observed: ObservedBatch) -> list[NDTRecord]:

@@ -21,24 +21,16 @@ with the pathologies the paper (and Luckie et al. [25]) warn about:
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from repro.measurement.records import TracerouteRecord
 from repro.net.compiled import compile_world
-from repro.obs import metrics
 from repro.routing.forwarding import Forwarder, ForwardingPath
 from repro.topology.geo import propagation_delay_by_code_ms
 from repro.topology.internet import Internet
 from repro.util.rng import derive_random
-
-_BATCH_REQUESTS = metrics.counter("trace.batch.requests")
-_BATCH_CALLS = metrics.counter("trace.batch.calls")
-_TABLE_HITS = metrics.counter("trace.batch.render_table.hits")
-_TABLE_MISSES = metrics.counter("trace.batch.render_table.misses")
-_BATCH_WALL = metrics.histogram("trace.batch.block_wall_s")
 
 #: How many (seed, fraction) worlds' silent-router verdicts to retain.
 #: Normal runs touch one; multi-seed fuzzing cycles through a few — the
@@ -184,21 +176,16 @@ class TracerouteEngine:
         resolver (same interned paths), and every trace is rendered by
         the one renderer that :meth:`trace` also uses.
         """
-        _BATCH_CALLS.inc()
-        _BATCH_REQUESTS.inc(len(requests))
-        block_start = time.perf_counter()
         paths = self._forwarder.resolve_paths_batch(
             [(r.src_asn, r.src_city, r.dst_asn, r.dst_city, r.flow_key) for r in requests]
         )
-        records = self._render(
+        return self._render(
             paths,
             [r.src_ip for r in requests],
             [r.dst_ip for r in requests],
             [r.dst_city for r in requests],
             [r.timestamp_s for r in requests],
         )
-        _BATCH_WALL.observe(time.perf_counter() - block_start)
-        return records
 
     def _render(
         self,
@@ -246,7 +233,6 @@ class TracerouteEngine:
         final_delay_get = final_delay.get
         record_type = TracerouteRecord
         next_trace_id = self._next_trace_id
-        table_hits = table_misses = 0
 
         records: list[TracerouteRecord | None] = []
         records_append = records.append
@@ -266,7 +252,6 @@ class TracerouteEngine:
                 # Fast path: render from the precomputed table, with the
                 # walk's draw sequence verbatim. ``x if x > 0.1 else 0.1``
                 # is max(0.1, x) inlined.
-                table_hits += 1
                 entries, last_city, cumulative_ms = table
                 for silent, reply_ip, hop_ms, router_id in entries:
                     if silent or rng_random() < transient_loss_prob:
@@ -290,7 +275,6 @@ class TracerouteEngine:
                 # stored values are bit-exact for every later fast-path
                 # render. ``-1 + 2 * random()`` is rng.uniform(-1, 1)
                 # inlined, bit for bit.
-                table_misses += 1
                 entries_list = [] if seen_get(path_id) is path else None
                 cumulative_ms = 1.0
                 cities = path.hop_cities
@@ -353,10 +337,6 @@ class TracerouteEngine:
             next_trace_id += 1
 
         self._next_trace_id = next_trace_id
-        if table_hits:
-            _TABLE_HITS.inc(table_hits)
-        if table_misses:
-            _TABLE_MISSES.inc(table_misses)
         return records
 
     def _alternates(self, router_id: int, probed_ip: int) -> tuple[int, ...]:

@@ -50,7 +50,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.net import snapshot
-from repro.obs import metrics
 from repro.obs.log import get_logger
 from repro.topology.asgraph import Relationship
 from repro.topology.internet import Internet
@@ -67,12 +66,6 @@ from repro.topology.tables import (
 from repro.util import artifact_cache
 
 _log = get_logger(__name__)
-
-_BUILDS = metrics.counter("compiled.builds")
-_CACHE_HITS = metrics.counter("compiled.cache_hits")
-_TABLE_WRAPS = metrics.counter("compiled.table_wraps")
-_SNAPSHOT_LOADS = metrics.counter("compiled.snapshot_loads")
-_BATCH_LOOKUPS = metrics.counter("compiled.batch_lookups")
 
 #: Sentinel origin for "no announcement covers this address".
 NO_ORIGIN = -1
@@ -151,7 +144,6 @@ class CompiledWorld:
 
     def origin_batch(self, ips: np.ndarray) -> np.ndarray:
         """Vectorized LPM origin ASN per address (``NO_ORIGIN`` for none)."""
-        _BATCH_LOOKUPS.inc()
         ips = np.asarray(ips, dtype=np.int64)
         idx = np.searchsorted(self.lpm_starts, ips, side="right") - 1
         idx_clipped = np.maximum(idx, 0)
@@ -477,7 +469,6 @@ def load_snapshot_world(digest: str) -> CompiledWorld | None:
     if world is None:
         _log.warning("world snapshot %s misses arrays; rebuilding", path)
         return None
-    _SNAPSHOT_LOADS.inc()
     artifact_cache.touch(path)
     return world
 
@@ -493,14 +484,11 @@ def compile_world(internet: Internet) -> CompiledWorld:
     digest = world_digest(internet)
     cached = _COMPILE_CACHE.get(digest)
     if cached is not None:
-        _CACHE_HITS.inc()
         _attach_router_meta(cached, internet)
         return cached
     world: CompiledWorld | None = None
     if internet.tables is not None:
         world = _world_from_arrays(digest, internet.seed, internet.tables)
-        if world is not None:
-            _TABLE_WRAPS.inc()
     if world is None:
         world = load_snapshot_world(digest)
     if world is None:
@@ -543,7 +531,6 @@ def compiled_world_for(config) -> CompiledWorld:
         if isinstance(digest, str):
             cached = _COMPILE_CACHE.get(digest)
             if cached is not None:
-                _CACHE_HITS.inc()
                 return cached
             world = load_snapshot_world(digest)
             if world is not None:
@@ -563,7 +550,6 @@ def clear_compile_cache() -> None:
 
 
 def _compile(internet: Internet, digest: str) -> CompiledWorld:
-    _BUILDS.inc()
     fabric = internet.fabric
     graph = internet.graph
 

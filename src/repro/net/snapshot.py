@@ -29,7 +29,6 @@ import io
 import json
 import os
 import tempfile
-import time
 import zipfile
 from pathlib import Path
 
@@ -40,11 +39,9 @@ from repro.obs.log import get_logger
 
 _log = get_logger(__name__)
 
-SAVES = metrics.counter("snapshot.saves")
-LOADS = metrics.counter("snapshot.loads")
-LOAD_FAILURES = metrics.counter("snapshot.load_failures")
+#: Read by the stale-snapshot test, which checks that an old format is
+#: rejected as a version mismatch.
 VERSION_MISMATCHES = metrics.counter("snapshot.version_mismatches")
-LOAD_WALL_MS = metrics.histogram("snapshot.load_ms")
 
 #: Bump when the array schema or encoding changes; stale files are
 #: rejected at load with a warning and rebuilt from the generator.
@@ -89,7 +86,6 @@ def save_arrays(
         except OSError:
             pass
         raise
-    SAVES.inc()
     _log.debug("saved world snapshot %s (%d arrays)", path, len(arrays))
 
 
@@ -167,12 +163,10 @@ def load_arrays(path: Path, *, expect_digest: str | None = None) -> dict | None:
     from the generator; a snapshot is never allowed to crash a run or
     serve tables from a different format.
     """
-    load_start = time.perf_counter()
     try:
         with zipfile.ZipFile(path) as archive:
             meta = _read_meta(archive, path)
             if meta is None:
-                LOAD_FAILURES.inc()
                 _drop(path)
                 return None
             if meta.get("format_version") != SNAPSHOT_FORMAT_VERSION:
@@ -186,7 +180,6 @@ def load_arrays(path: Path, *, expect_digest: str | None = None) -> dict | None:
                 _drop(path)
                 return None
             if expect_digest is not None and meta.get("digest") != expect_digest:
-                LOAD_FAILURES.inc()
                 _log.warning(
                     "world snapshot %s holds digest %r, expected %r; ignoring",
                     path, meta.get("digest"), expect_digest,
@@ -200,14 +193,10 @@ def load_arrays(path: Path, *, expect_digest: str | None = None) -> dict | None:
     except FileNotFoundError:
         return None
     except zipfile.BadZipFile as error:
-        LOAD_FAILURES.inc()
         _log.warning("world snapshot %s is corrupt (%s); dropping it", path, error)
         _drop(path)
         return None
     except (KeyError, ValueError, OSError) as error:
-        LOAD_FAILURES.inc()
         _log.warning("failed to load world snapshot %s (%s)", path, error)
         return None
-    LOADS.inc()
-    LOAD_WALL_MS.observe((time.perf_counter() - load_start) * 1000.0)
     return {"digest": meta["digest"], "seed": meta["seed"], "arrays": arrays}

@@ -20,7 +20,6 @@ simulate (cross traffic bursts, host effects).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Sequence
@@ -28,21 +27,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.net.link import BASE_LOSS, LinkNetwork
-from repro.obs import flowprobe, metrics
 from repro.routing.forwarding import ForwardingPath
 from repro.topology.geo import propagation_delay_by_code_ms
 from repro.util.rng import derive_random
-
-_FLOWS = metrics.counter("tcp.flows_simulated")
-_RETX_RATE = metrics.histogram("tcp.retx_rate")
-_SIGNALS = metrics.counter("tcp.congestion_signals")
-#: "Timeouts": flows whose loss/RTT ceiling collapsed them to the record
-#: floor — the regime where a real NDT transfer stalls on RTOs.
-_TIMEOUTS = metrics.counter("tcp.timeout_floor_flows")
-_BATCHES = metrics.counter("tcp.batch.batches")
-_BATCH_SIZE = metrics.histogram("tcp.batch.requests")
-_BATCH_WALL = metrics.histogram("tcp.batch.block_wall_s")
-_PATH_STATIC_HITS = metrics.counter("tcp.batch.path_static_hits")
 
 #: Bottleneck tie-break priority, shared by the scalar and batched paths.
 #: When two or more ceilings are exactly equal (commonest when the noise-
@@ -205,17 +192,12 @@ class TCPModel:
         home_factor: float = 1.0,
         access_loss: float = 0.0,
         with_noise: bool = True,
-        probe_key: object = None,
     ) -> PathObservation:
         """Evaluate one transfer.
 
         ``access_rate_bps`` is the service-plan rate; ``home_factor`` ≤ 1
         models home network / Wi-Fi degradation; ``access_loss`` adds loss
-        on the last mile (bad Wi-Fi). ``probe_key``, when a flow-probe
-        recorder is active and selects it, attaches a tcp_probe-style
-        per-tick series of this transfer to the recorder — synthesized
-        from the observation alone, so probing never consumes randomness
-        or changes what the transfer observed.
+        on the last mile (bad Wi-Fi).
         """
         _, base_ms, crossed = self._path_static(path)
         standing_ms, transient_ms = self._links.path_queue_split_ms(crossed, hour)
@@ -237,18 +219,11 @@ class TCPModel:
         if with_noise:
             noise = math.exp(self._rng.gauss(0.0, self._config.throughput_noise_sigma))
             throughput = min(throughput * noise, access_rate_bps)
-        floored = throughput < 10_000.0
         throughput = max(throughput, 10_000.0)  # floor: tests never report ~0
 
         retx = min(0.5, loss * (1.0 + (0.2 * self._rng.random() if with_noise else 0.0)))
         packets = throughput * self._config.test_duration_s / (self._config.mss_bytes * 8.0)
         signals = int(round(retx * packets))
-
-        _FLOWS.inc()
-        _SIGNALS.inc(signals)
-        _RETX_RATE.observe(retx)
-        if floored:
-            _TIMEOUTS.inc()
 
         # RTT extremes: standing queues are on the floor from the first
         # round trip; transient queues mostly drain out of the minimum; an
@@ -256,24 +231,6 @@ class TCPModel:
         rtt_min = base_ms + standing_ms + self._config.transient_floor_fraction * transient_ms
         self_buffer = self._config.access_buffer_ms if kind == "access" else 2.0
         rtt_max = rtt_ms + self_buffer
-
-        probe = flowprobe.active()
-        if probe is not None and probe_key is not None and probe.wants(probe_key):
-            probe.record(
-                probe_key,
-                throughput_bps=throughput,
-                rtt_min_ms=rtt_min,
-                rtt_max_ms=rtt_max,
-                access_limited=(kind == "access"),
-                mss_bytes=self._config.mss_bytes,
-                duration_s=self._config.test_duration_s,
-                meta={
-                    "hour": round(hour, 2),
-                    "bottleneck": kind,
-                    "loss": round(loss, 5),
-                    "rtt_ms": round(rtt_ms, 3),
-                },
-            )
 
         return PathObservation(
             throughput_bps=throughput,
@@ -293,22 +250,19 @@ class TCPModel:
         access_rates_bps: Sequence[float],
         home_factors: Sequence[float],
         access_losses: Sequence[float],
-        probe_keys: Sequence[object] | None = None,
         with_noise: Sequence[bool] | None = None,
     ) -> ObservedBatch:
         """Evaluate many transfers at once; byte-identical to ``observe``.
 
         A batch is a set of parallel lists, entry ``i`` of each holding
         the same-named argument of ``observe`` for transfer ``i``;
-        ``probe_keys=None`` probes nothing and ``with_noise=None`` draws
-        noise for every transfer. The contract: the returned columns hold
-        exactly what ``observe(paths[i], hours[i], access_rates_bps[i],
-        home_factors[i], access_losses[i], with_noise[i], probe_keys[i])``
-        would return for each ``i`` in turn — same floats to the last bit,
-        same noise-stream consumption (gauss then uniform per noisy
-        transfer, in list order), same metric totals, and flow-probe
-        records emitted in the same order. Every returned value is a
-        Python scalar, never a numpy one.
+        ``with_noise=None`` draws noise for every transfer. The contract:
+        the returned columns hold exactly what ``observe(paths[i],
+        hours[i], access_rates_bps[i], home_factors[i], access_losses[i],
+        with_noise[i])`` would return for each ``i`` in turn — same floats
+        to the last bit and the same noise-stream consumption (gauss then
+        uniform per noisy transfer, in list order). Every returned value
+        is a Python scalar, never a numpy one.
 
         The batch runs as array passes. Pass 1 evaluates every link
         crossing of the batch at its transfer's hour
@@ -335,30 +289,24 @@ class TCPModel:
         """
         n = len(paths)
         columns = [hours, access_rates_bps, home_factors, access_losses]
-        columns += [c for c in (probe_keys, with_noise) if c is not None]
+        if with_noise is not None:
+            columns.append(with_noise)
         if any(len(column) != n for column in columns):
             raise ValueError("observe_batch needs one entry per path in every column")
         if n == 0:
             return ObservedBatch([], [], [], [], [], [], [], [])
-        _BATCHES.inc()
-        _BATCH_SIZE.observe(float(n))
-        block_start = time.perf_counter()
 
         # Pass 1: the state of every crossed link, folded per path.
         memo = self._path_static_memo
         path_static = self._path_static
         base_l: list[float] = []
         crossed_l: list[tuple[int, ...]] = []
-        hits = 0
         for path in paths:
             entry = memo.get(id(path))
             if entry is None or entry[0] is not path:
                 entry = path_static(path)
-            else:
-                hits += 1
             base_l.append(entry[1])
             crossed_l.append(entry[2])
-        _PATH_STATIC_HITS.inc(hits)
 
         lens = np.fromiter(map(len, crossed_l), dtype=np.int64, count=n)
         starts = np.cumsum(lens) - lens
@@ -420,51 +368,19 @@ class TCPModel:
             noise = np.array([math.exp(g) for g, _ in draws])
             thr[noisy_rows] = np.minimum(thr_a[noisy_rows] * noise, rates_a[noisy_rows])
             retx_factor[noisy_rows] = 1.0 + 0.2 * np.array([u for _, u in draws])
-        floored = int(np.count_nonzero(thr < 10_000.0))
         thr = np.maximum(thr, 10_000.0)
         retx = np.minimum(0.5, combined_a * retx_factor)
         packets = thr * cfg.test_duration_s / (cfg.mss_bytes * 8.0)
-        signals_l = np.rint(retx * packets).astype(np.int64).tolist()
         rtt_min = (base_a + standing_a) + cfg.transient_floor_fraction * transient_a
         rtt_max = rtt_a + np.where(kind_a == 0, cfg.access_buffer_ms, 2.0)
 
-        kind_l = [BOTTLENECK_PRIORITY[code] for code in kind_a.tolist()]
-        out = ObservedBatch(
+        return ObservedBatch(
             thr.tolist(),
             rtt_a.tolist(),
             retx.tolist(),
-            signals_l,
+            np.rint(retx * packets).astype(np.int64).tolist(),
             [b if b >= 0 else None for b in np.where(kind_a == 1, bott_a, -1).tolist()],
-            kind_l,
+            [BOTTLENECK_PRIORITY[code] for code in kind_a.tolist()],
             rtt_min.tolist(),
             rtt_max.tolist(),
         )
-
-        probe = flowprobe.active() if probe_keys is not None else None
-        if probe is not None:
-            loss_l = combined_a.tolist()
-            for i, probe_key in enumerate(probe_keys):
-                if probe_key is not None and probe.wants(probe_key):
-                    probe.record(
-                        probe_key,
-                        throughput_bps=out.throughput_bps[i],
-                        rtt_min_ms=out.rtt_min_ms[i],
-                        rtt_max_ms=out.rtt_max_ms[i],
-                        access_limited=(kind_l[i] == "access"),
-                        mss_bytes=cfg.mss_bytes,
-                        duration_s=cfg.test_duration_s,
-                        meta={
-                            "hour": round(hours[i], 2),
-                            "bottleneck": kind_l[i],
-                            "loss": round(loss_l[i], 5),
-                            "rtt_ms": round(out.rtt_ms[i], 3),
-                        },
-                    )
-
-        _FLOWS.inc(n)
-        _RETX_RATE.observe_many(out.retx_rate)
-        _SIGNALS.inc(sum(signals_l))
-        if floored:
-            _TIMEOUTS.inc(floored)
-        _BATCH_WALL.observe(time.perf_counter() - block_start)
-        return out

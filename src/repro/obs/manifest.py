@@ -3,16 +3,15 @@
 Every ``python -m repro.experiments`` invocation writes
 ``run_manifest.json`` next to its working directory: the seed and config
 digest that determine the world, per-experiment status and duration, the
-cache hit/miss counters, pool stats, the span tree, and any flow-probe
-series. Two runs that should have been identical can be diffed at this
-level before anyone re-reads 60k NDT records.
+cache hit/miss counters, pool stats and the span tree. Two runs that
+should have been identical can be diffed at this level before anyone
+re-reads 60k NDT records.
 
-Schema v2 adds two sections that are recorded *even when metrics are
-off* (they come from ``getrusage`` and the span tree, not the metrics
-registry): ``resource`` (peak RSS and CPU split of the whole run) and
-``phases`` (per-phase wall-clock flattened from the top of the span
-tree), plus optional ``profile`` / ``timeseries`` sections when the
-sampling profiler or cadence sampler ran.
+Two sections come from ``getrusage`` and the span tree rather than the
+counters: ``resource`` (peak RSS and CPU split of the whole run) and
+``phases`` (per-phase wall-clock flattened from the top two levels of
+the span tree). Deeper spans that time a benchmark layer carry that
+layer's name in the ``trace`` section.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import platform
 import time
 from pathlib import Path
 
-MANIFEST_SCHEMA = "repro.obs/run-manifest/v2"
+MANIFEST_SCHEMA = "repro.obs/run-manifest/v3"
 TRACE_SCHEMA = "repro.obs/trace/v1"
 
 
@@ -34,8 +33,6 @@ def resource_usage() -> dict[str, object]:
     workers peak far above the parent), the CPU times are their sums.
     ``ru_maxrss`` is kilobytes on Linux (bytes on macOS — normalized
     here by assuming kB, which is right for the CI/runtime platform).
-    Independent of the metrics registry so the manifest records it even
-    under ``REPRO_METRICS=0``.
     """
     try:
         import resource
@@ -83,9 +80,6 @@ def build_manifest(
     pool_stats: dict[str, object],
     span_tree: list[dict[str, object]],
     wall_s: float,
-    flow_probes: list[dict[str, object]] | None = None,
-    timeseries_snapshot: dict[str, object] | None = None,
-    profile_summary: dict[str, object] | None = None,
     worldgen: dict[str, object] | None = None,
 ) -> dict[str, object]:
     """Assemble the manifest payload (pure; callers decide where it goes)."""
@@ -110,12 +104,7 @@ def build_manifest(
         "pool": pool_stats,
         "metrics": metrics_snapshot,
         "trace": span_tree,
-        "flow_probes": list(flow_probes or []),
     }
-    if timeseries_snapshot:
-        manifest["timeseries"] = timeseries_snapshot
-    if profile_summary:
-        manifest["profile"] = profile_summary
     if worldgen:
         # Array-native generation telemetry (PR 8): per-phase wall/CPU,
         # worldgen.peak_rss_mb, and the headline table counts — recorded

@@ -1,9 +1,10 @@
 """Lightweight span tracing: a timing tree over pipeline phases.
 
-``with span("build_study"): ...`` opens a node under the currently active
-span (or a new root) and records its wall-clock duration on exit. The
-tree is coarse — phases, experiments, per-VP sweeps — never per-flow, so
-it can stay on for every run.
+``with span("pipeline.build_study"): ...`` opens a node under the
+currently active span (or a new root) and records its wall-clock duration
+on exit. The tree is coarse — phases, experiments, per-VP sweeps — never
+per-flow, so it can stay on for every run. A span that times exactly
+what a layerbench metric times is named after that metric's prefix.
 
 Pool workers each build their own tree; :mod:`repro.util.parallel`
 serializes worker trees alongside results and the parent grafts them

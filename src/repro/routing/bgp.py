@@ -23,15 +23,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.obs import metrics
 from repro.obs.log import get_logger
 from repro.topology.asgraph import ASGraph, Relationship
 
 _log = get_logger(__name__)
-
-_TABLES = metrics.counter("bgp.tables_built")
-_LAZY_DSTS = metrics.counter("bgp.lazy_destinations")
-_PATHS = metrics.counter("bgp.paths_resolved")
 
 
 class RouteType(enum.Enum):
@@ -160,7 +155,6 @@ class BGPRouting:
         if table is None:
             table = self._build(dst)
             self._tables[dst] = table
-            _TABLES.inc()
             _log.debug(
                 "built routing tree for AS%d (%d routed sources)",
                 dst, len(table.next_hop),
@@ -178,7 +172,6 @@ class BGPRouting:
         same answer; the lazy route is orders of magnitude less work for
         trace workloads with few sources and many destinations.
         """
-        _PATHS.inc()
         if src == dst:
             return [src]
         table = self._tables.get(dst)
@@ -226,7 +219,6 @@ class BGPRouting:
                 no_route=set(),
             )
             self._lazy[dst] = state
-            _LAZY_DSTS.inc()
         return state
 
     def _resolve(self, state: "_LazyDst", node: int) -> int | None:

@@ -36,12 +36,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.obs import metrics
 from repro.routing.bgp import BGPRouting
 from repro.topology.geo import city_by_code, geo_distance_km
 from repro.topology.internet import Internet
-
-_UNROUTABLE = metrics.counter("forwarder.unroutable_flows")
 
 #: Cache-miss sentinel for tables whose values may legitimately be None.
 _ABSENT = object()
@@ -192,7 +189,6 @@ class Forwarder:
         if path is not None:
             return path
         if as_path is None:
-            _UNROUTABLE.inc()
             return None
         crc32 = zlib.crc32
         key_crc = None

@@ -41,7 +41,6 @@ import resource
 import time
 from dataclasses import dataclass
 
-from repro.obs import metrics
 from repro.topology.addressing import PrefixAllocator
 from repro.topology.asgraph import ASRole, Relationship
 from repro.topology.dns import ReverseDNS, border_interface_name
@@ -362,11 +361,6 @@ class _Builder:
             "counts": self.recorder.counts(),
         }
         _LAST_STATS = stats
-        metrics.counter("worldgen.builds").inc()
-        metrics.gauge("worldgen.peak_rss_mb").set(stats["peak_rss_mb"])
-        metrics.gauge("worldgen.total_wall_s").set(stats["total_wall_s"])
-        for name, timing in phase_stats.items():
-            metrics.gauge(f"worldgen.phase.{name}.wall_s").set(timing["wall_s"])
 
         return Internet(
             seed=self.config.seed,

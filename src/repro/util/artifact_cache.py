@@ -37,7 +37,6 @@ import hashlib
 import os
 import pickle
 import tempfile
-import time
 from pathlib import Path
 from typing import Any, Callable
 
@@ -54,14 +53,10 @@ _CACHE_PATTERNS = ("*.pkl", "*.npz")
 
 _log = get_logger(__name__)
 
+#: Read by the run manifest's ``cache`` section.
 _HITS = metrics.counter("artifact_cache.hits")
-_EVICTIONS = metrics.counter("artifact_cache.evictions")
-_BYTES_EVICTED = metrics.counter("artifact_cache.bytes_evicted")
 _MISSES = metrics.counter("artifact_cache.misses")
 _CORRUPT = metrics.counter("artifact_cache.corrupt_drops")
-_BYTES_READ = metrics.counter("artifact_cache.bytes_read")
-_BYTES_WRITTEN = metrics.counter("artifact_cache.bytes_written")
-_LOAD_WALL = metrics.histogram("artifact_cache.load_s")
 
 #: Exceptions pickle raises on a truncated/garbled/version-skewed entry.
 #: Anything outside this set (KeyboardInterrupt, MemoryError, bugs in
@@ -142,7 +137,6 @@ def load(kind: str, key: str) -> Any | None:
     if not enabled():
         return None
     path = _path_for(kind, key)
-    start = time.perf_counter()
     try:
         with path.open("rb") as handle:
             value = pickle.load(handle)
@@ -171,12 +165,6 @@ def load(kind: str, key: str) -> Any | None:
         _log.warning("cache read failed for %s: %s", path, error)
         return None
     _HITS.inc()
-    _LOAD_WALL.observe(time.perf_counter() - start)
-    if metrics.enabled():
-        try:
-            _BYTES_READ.inc(path.stat().st_size)
-        except OSError:
-            pass
     touch(path)
     return value
 
@@ -199,11 +187,6 @@ def store(kind: str, key: str, value: Any) -> None:
             except OSError:
                 pass
             raise
-        if metrics.enabled():
-            try:
-                _BYTES_WRITTEN.inc(path.stat().st_size)
-            except OSError:
-                pass
         _log.debug("stored %s artifact at %s", kind, path)
         evict_to_limit()
     except OSError as error:
@@ -290,8 +273,6 @@ def evict_to_limit(limit_bytes: int | None = None) -> int:
             continue
         total -= size
         removed += 1
-        _EVICTIONS.inc()
-        _BYTES_EVICTED.inc(size)
         _log.info("evicted cache entry %s (%d bytes) to fit %d-byte bound",
                   path.name, size, limit)
     return removed

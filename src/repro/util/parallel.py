@@ -22,13 +22,12 @@ accept ``jobs=None`` fall back to it, which lets the CLI raise
 parallelism without threading a parameter through every experiment
 signature.
 
-Observability rides along without touching results: when metrics or span
-tracing are enabled, each pool unit is wrapped so the worker returns
-``(result, metrics snapshot, span subtree)``; the parent unwraps the
-results (identical to the unwrapped path) and folds the metric deltas
-and span subtrees back in input order. :func:`pool_stats` reports what
-the last fan-out actually did — workers used, units, and *why* it fell
-back to serial when it did.
+Observability rides along without touching results: each pool unit is
+wrapped so the worker returns ``(result, counter snapshot, span
+subtree)``; the parent unwraps the results (identical to the unwrapped
+path) and folds the counter deltas and span subtrees back in input
+order. :func:`pool_stats` reports what the last fan-out actually did —
+workers used, units, and *why* it fell back to serial when it did.
 """
 
 from __future__ import annotations
@@ -72,16 +71,6 @@ _WORKER_STATS_PROVIDERS: dict[str, Callable[[], dict[str, int]]] = {}
 #: fork-inherited count (e.g. the study the parent built before the pool
 #: started) is not misattributed to the worker.
 _worker_stats_base: dict[str, dict[str, int]] = {}
-
-_UNITS = obs_metrics.counter("parallel.units_dispatched")
-_POOLS = obs_metrics.counter("parallel.pools_started")
-_SERIAL = obs_metrics.counter("parallel.serial_fallbacks")
-_CLAMPS = obs_metrics.counter("parallel.cpu_clamps")
-_UNIT_WALL = obs_metrics.histogram("parallel.unit_wall_s")
-_SKEW = obs_metrics.gauge("parallel.chunk_skew")
-#: Units submitted to the current fan-out and not yet merged back; the
-#: telemetry sampler graphs this as pool queue depth.
-_INFLIGHT = obs_metrics.gauge("parallel.inflight_units")
 
 #: What the most recent :func:`parallel_map` call did (see pool_stats()).
 #: ``requested_workers`` is the caller's ask (--jobs after None
@@ -206,7 +195,6 @@ def pool_stats() -> dict[str, object]:
 
 def _worker_init(
     trace_enabled: bool = False,
-    metrics_enabled: bool | None = None,
     context: object = None,
     setup: Callable[[object], None] | None = None,
 ) -> None:
@@ -214,13 +202,11 @@ def _worker_init(
     _in_worker = True
     _worker_context = context
     _worker_stats_base = _providers_raw()
-    # Under spawn the worker never saw the parent's runtime toggles; under
-    # fork it inherited them along with stale span/metric state. Both
-    # start from a clean slate with the parent's enablement.
+    # Under spawn the worker never saw the parent's tracing toggle; under
+    # fork it inherited it along with stale span/counter state. Both start
+    # from a clean slate with the parent's tracing enablement.
     obs_trace.set_enabled(trace_enabled)
     obs_trace.reset()
-    if metrics_enabled is not None:
-        obs_metrics.set_enabled(metrics_enabled)
     obs_metrics.reset()
     if setup is not None:
         # Per-worker one-time setup (e.g. build the study world) so the
@@ -253,11 +239,11 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
 
 def _observed_unit(
-    func: Callable[[T], R], observe: bool, item: T
-) -> tuple[R, dict | None, list | None, float, int, dict, float]:
+    func: Callable[[T], R], item: T
+) -> tuple[R, dict, list, float, int, dict, float]:
     """Pool worker wrapper: run one unit, capture its obs by-products.
 
-    The worker's registry and span forest are reset per unit, so the
+    The worker's counters and span forest are reset per unit, so the
     returned snapshot/subtree describe exactly this unit; the parent
     merges them in input order, which keeps the merged span tree's shape
     independent of scheduling. Worker-stats totals are cumulative per
@@ -265,17 +251,14 @@ def _observed_unit(
     value per pid and sums across pids. The worker's high-water RSS rides
     along the same way and surfaces as ``pool_stats()["worker_peak_rss_mb"]``.
     """
-    if observe:
-        obs_metrics.reset()
-        obs_trace.reset()
+    obs_metrics.reset()
+    obs_trace.reset()
     start = time.perf_counter()
     result = func(item)
     wall = time.perf_counter() - start
-    snapshot = obs_metrics.snapshot() if observe else None
-    subtree = obs_trace.tree() if observe else None
     return (
-        result, snapshot, subtree, wall, os.getpid(), _provider_totals(),
-        _peak_rss_mb(),
+        result, obs_metrics.snapshot(), obs_trace.tree(), wall, os.getpid(),
+        _provider_totals(), _peak_rss_mb(),
     )
 
 
@@ -293,8 +276,6 @@ def _cpu_limit() -> int | None:
 def _record_serial(
     units: int, reason: str, requested: int = 1, clamped: bool = False
 ) -> None:
-    _SERIAL.inc()
-    _UNITS.inc(units)
     _last_stats.update(
         {
             "workers": 1,
@@ -331,18 +312,13 @@ def _run_serial(
     try:
         if setup is not None:
             setup(context)
-        results = []
-        _INFLIGHT.set(len(work))
-        for index, item in enumerate(work):
-            results.append(func(item))
-            _INFLIGHT.set(len(work) - index - 1)
+        results = [func(item) for item in work]
         _last_stats["worker_stats"] = _fold_worker_stats(
             {os.getpid(): _provider_totals()}
         )
         _last_stats["worker_peak_rss_mb"] = round(_peak_rss_mb(), 1)
         return results
     finally:
-        _INFLIGHT.set(0)
         _worker_context = prev_context
         _worker_stats_base = prev_base
 
@@ -381,7 +357,6 @@ def parallel_map(
     jobs = requested if limit is None else min(requested, limit)
     clamped = jobs < requested
     if clamped:
-        _CLAMPS.inc()
         _log.debug("clamping jobs=%d to %d cpus", requested, jobs)
     if _in_worker:
         if jobs > 1 and len(work) > 1:
@@ -402,9 +377,6 @@ def parallel_map(
         return _run_serial(func, work, context, setup)
     max_workers = min(jobs, len(work))
     chunksize = max(1, chunksize)
-    observe = obs_metrics.enabled() or obs_trace.enabled()
-    _POOLS.inc()
-    _UNITS.inc(len(work))
     _last_stats.update(
         {
             "workers": max_workers,
@@ -425,20 +397,14 @@ def parallel_map(
         "fan-out: %d units across %d workers (chunksize %d)",
         len(work), max_workers, chunksize,
     )
-    _INFLIGHT.set(len(work))
-    try:
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=_pool_context(),
-            initializer=_worker_init,
-            initargs=(
-                obs_trace.enabled(), obs_metrics.enabled_override(), context, setup,
-            ),
-        ) as pool:
-            wrapped = functools.partial(_observed_unit, func, observe)
-            outs = list(pool.map(wrapped, work, chunksize=chunksize))
-    finally:
-        _INFLIGHT.set(0)
+    with ProcessPoolExecutor(
+        max_workers=max_workers,
+        mp_context=_pool_context(),
+        initializer=_worker_init,
+        initargs=(obs_trace.enabled(), context, setup),
+    ) as pool:
+        wrapped = functools.partial(_observed_unit, func)
+        outs = list(pool.map(wrapped, work, chunksize=chunksize))
     results: list[R] = []
     unit_walls: list[float] = []
     # Provider totals are cumulative per worker process; keeping the last
@@ -447,15 +413,13 @@ def parallel_map(
     rss_by_pid: dict[int, float] = {}
     for result, snapshot, subtree, wall, pid, totals, rss_mb in outs:
         results.append(result)
-        if observe:
-            obs_metrics.merge_snapshot(snapshot)
-            obs_trace.attach_subtrees(subtree)
+        obs_metrics.merge_snapshot(snapshot)
+        obs_trace.attach_subtrees(subtree)
         stats_by_pid[pid] = totals
         # ru_maxrss is a high-water mark, so the last sample per pid is
         # also the max; across pids the pool-wide peak is the max of maxes.
         rss_by_pid[pid] = rss_mb
         unit_walls.append(wall)
-        _UNIT_WALL.observe(wall)
     _last_stats["worker_stats"] = _fold_worker_stats(stats_by_pid)
     _last_stats["worker_peak_rss_mb"] = (
         round(max(rss_by_pid.values()), 1) if rss_by_pid else None
@@ -467,10 +431,9 @@ def parallel_map(
         sum(unit_walls[i:i + chunksize]) for i in range(0, len(unit_walls), chunksize)
     ]
     mean_wall = sum(chunk_walls) / len(chunk_walls) if chunk_walls else 0.0
-    skew = round(max(chunk_walls) / mean_wall, 3) if mean_wall > 0 else None
-    _last_stats["chunk_skew"] = skew
-    if skew is not None:
-        _SKEW.set(skew)
+    _last_stats["chunk_skew"] = (
+        round(max(chunk_walls) / mean_wall, 3) if mean_wall > 0 else None
+    )
     return results
 
 

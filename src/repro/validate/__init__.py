@@ -15,7 +15,7 @@ Entry points: ``python -m repro validate --seed N`` (CLI),
 :func:`validate_world` / :func:`validate_internet` (library), and the
 ``--validate`` flag on ``repro campaign`` / ``repro experiments``
 (inline contracts during ``build_study``). Progress is observable via
-``validate.*`` metrics and ``contract:<name>`` / ``gate:<name>`` spans.
+``contract:<name>`` / ``gate:<name>`` spans.
 """
 
 from repro.validate.base import CheckResult, ContractViolation, ValidationReport

@@ -3,10 +3,9 @@
 Each contract is a named predicate over a :class:`WorldContext` — a
 generated :class:`~repro.topology.internet.Internet` plus (optionally)
 the fully wired :class:`~repro.core.pipeline.Study` around it. Contracts
-return a list of violation strings; the registry runs them under
-``validate.*`` metrics and ``contract:<name>`` trace spans and never lets
-one crash the sweep — an exception is reported as that contract's
-failure.
+return a list of violation strings; the registry runs each under a
+``contract:<name>`` trace span and never lets one crash the sweep — an
+exception is reported as that contract's failure.
 
 The registered invariants:
 
@@ -39,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, TYPE_CHECKING
 
-from repro.obs import metrics
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.routing.bgp import BGPRouting, valley_free_violations
@@ -53,10 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.pipeline import Study
 
 _log = get_logger(__name__)
-
-_RUN = metrics.counter("validate.contracts_run")
-_FAILED = metrics.counter("validate.contracts_failed")
-_VIOLATIONS = metrics.counter("validate.violations")
 
 
 @dataclass
@@ -490,16 +484,12 @@ def _study_seed_wiring(ctx: WorldContext) -> list[str]:
 
 
 def _run_contract(entry: Contract, ctx: WorldContext) -> CheckResult:
-    _RUN.inc()
     with span(f"contract:{entry.name}"):
         try:
             violations = entry.fn(ctx)
         except Exception as exc:  # a crashing contract is a failed contract
             _log.warning("contract %s raised: %r", entry.name, exc)
             violations = [f"contract raised {exc!r}"]
-    if violations:
-        _FAILED.inc()
-        _VIOLATIONS.inc(len(violations))
     return CheckResult(
         name=entry.name,
         kind="contract",

@@ -20,16 +20,11 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.experiments.base import ExperimentResult
-from repro.obs import metrics
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.validate.base import CheckResult, ValidationReport
 
 _log = get_logger(__name__)
-
-_RUN = metrics.counter("validate.gates_run")
-_FAILED = metrics.counter("validate.gates_failed")
-_VIOLATIONS = metrics.counter("validate.violations")
 
 #: A gate sees its own experiment's result plus every other result that
 #: ran in the same sweep (fig3's "peers ≫ all" compares against fig2).
@@ -409,16 +404,12 @@ def run_gate(
 ) -> CheckResult:
     """Run one gate against one experiment result."""
     entry = GATES[name]
-    _RUN.inc()
     with span(f"gate:{name}"):
         try:
             violations = entry.fn(result, results or {})
         except Exception as exc:  # a crashing gate is a failed gate
             _log.warning("gate %s raised: %r", name, exc)
             violations = [f"gate raised {exc!r}"]
-    if violations:
-        _FAILED.inc()
-        _VIOLATIONS.inc(len(violations))
     return CheckResult(
         name=name,
         kind="gate",

@@ -71,8 +71,8 @@ def observe_requests(paths, max_size: int = 12):
     """Batches of ``TCPModel.observe_batch`` arguments over real paths.
 
     Each drawn batch is the tuple ``(paths, hours, access_rates_bps,
-    home_factors, access_losses, probe_keys, with_noise)`` of parallel
-    lists, one entry per transfer (``probe_keys`` is None: no probes).
+    home_factors, access_losses, with_noise)`` of parallel lists, one
+    entry per transfer.
     ``paths`` is a non-empty sequence of :class:`ForwardingPath` objects
     from an already-built world; hours deliberately range outside a
     campaign's 0–24 window (negative and multi-day) because the link
@@ -97,8 +97,6 @@ def observe_requests(paths, max_size: int = 12):
     )
 
     def as_columns(requests):
-        columns = [list(column) for column in zip(*requests)] or [[] for _ in range(6)]
-        *arguments, with_noise = columns
-        return (*arguments, None, with_noise)
+        return tuple([list(column) for column in zip(*requests)] or [[] for _ in range(6)])
 
     return st.lists(request, min_size=0, max_size=max_size).map(as_columns)

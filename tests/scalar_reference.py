@@ -458,7 +458,6 @@ class ObserveRequest:
     home_factor: float = 1.0
     access_loss: float = 0.0
     with_noise: bool = True
-    probe_key: object = None
 
 
 def observe_request(model, request: ObserveRequest) -> PathObservation:
@@ -470,7 +469,6 @@ def observe_request(model, request: ObserveRequest) -> PathObservation:
         home_factor=request.home_factor,
         access_loss=request.access_loss,
         with_noise=request.with_noise,
-        probe_key=request.probe_key,
     )
 
 
@@ -482,22 +480,19 @@ def request_columns(requests: Sequence[ObserveRequest]) -> tuple[list, ...]:
         [r.access_rate_bps for r in requests],
         [r.home_factor for r in requests],
         [r.access_loss for r in requests],
-        [r.probe_key for r in requests],
         [r.with_noise for r in requests],
     )
 
 
 def observe_columns(model, columns: Sequence[Sequence | None]) -> list[PathObservation]:
     """Scalar ``observe`` over each entry of ``observe_batch``-shaped columns."""
-    paths, hours, rates, home_factors, losses, probe_keys, with_noise = columns
-    n = len(paths)
-    probe_keys = probe_keys if probe_keys is not None else [None] * n
-    with_noise = with_noise if with_noise is not None else [True] * n
+    paths, hours, rates, home_factors, losses, with_noise = columns
+    with_noise = with_noise if with_noise is not None else [True] * len(paths)
     return [
         model.observe(path, hour, rate, home_factor=home, access_loss=loss,
-                      with_noise=noisy, probe_key=key)
-        for path, hour, rate, home, loss, key, noisy
-        in zip(paths, hours, rates, home_factors, losses, probe_keys, with_noise)
+                      with_noise=noisy)
+        for path, hour, rate, home, loss, noisy
+        in zip(paths, hours, rates, home_factors, losses, with_noise)
     ]
 
 
@@ -528,7 +523,7 @@ class ScalarNDTRunner:
         self._tcp = tcp
         self._next_test_id = 1
 
-    def plan(self, client, server, conditions, timestamp_s, local_hour, probing):
+    def plan(self, client, server, conditions, timestamp_s, local_hour):
         """Route one test and claim its id; None when the client is unreachable."""
         test_id = self._next_test_id
         flow_key = ("ndt", test_id, server.server_id, client.ip)
@@ -544,7 +539,6 @@ class ScalarNDTRunner:
                 access_rate_bps=conditions.effective_plan_bps,
                 home_factor=conditions.home_factor,
                 access_loss=conditions.access_loss,
-                probe_key=("ndt", client.org_name, test_id) if probing else None,
             )
         ]
         has_upload = False
@@ -603,9 +597,9 @@ class ScalarNDTRunner:
             upload_bps=observations[1].throughput_bps if planned.has_upload else 0.0,
         )
 
-    def run(self, client, server, conditions, timestamp_s, local_hour, probing):
+    def run(self, client, server, conditions, timestamp_s, local_hour):
         """plan → scalar observe per request → complete; None when unroutable."""
-        planned = self.plan(client, server, conditions, timestamp_s, local_hour, probing)
+        planned = self.plan(client, server, conditions, timestamp_s, local_hour)
         if planned is None:
             return None
         observations = [observe_request(self._tcp, r) for r in planned.requests]
@@ -679,15 +673,12 @@ def trace(engine, src_ip, src_asn, src_city, dst_ip, dst_asn, dst_city, timestam
     return trace_along(engine, path, src_ip, dst_ip, dst_city, timestamp_s)
 
 
-def run_ndt_campaign(
-    population, platform, forwarder, tcp, config: CampaignConfig, engine, probing=False
-):
+def run_ndt_campaign(population, platform, forwarder, tcp, config: CampaignConfig, engine):
     """The campaign one test at a time.
 
     Returns ``(result, lost, rng)``: the campaign, the number of traces
     lost to busy daemons, and the campaign's own random stream in its end
-    state. ``probing`` builds the download legs' flow-probe keys, as the
-    campaign does while a recorder is active.
+    state.
     """
     rng = derive_random(config.seed, "campaign")
     runner = ScalarNDTRunner(forwarder, tcp)
@@ -737,7 +728,7 @@ def run_ndt_campaign(
     for now, client, server in events:
         local_hour = (now % _SECONDS_PER_DAY) / 3600.0
         conditions = population.draw_conditions(client, local_hour, rng)
-        record = runner.run(client, server, conditions, now, local_hour, probing)
+        record = runner.run(client, server, conditions, now, local_hour)
         if record is None:
             continue
         ndt_records.append(record)

@@ -2,14 +2,13 @@
 
 ``TCPModel.observe_batch`` promises to return exactly what sequential
 ``observe`` calls would: same floats to the last bit, same noise-stream
-consumption, same flow-probe series, same ground-truth labels. These
-tests drive both paths over the same randomized request sets (paths,
-hours, noise on/off, access loss, probe keys), passed to the batch as
-columns and to the scalar reference one request at a time, and compare
-with ``==`` on full observations and ``repr`` (which also catches numpy
-scalar types leaking into records). The final test pins the whole
-campaign pipeline to a golden digest captured before the batch engine
-existed.
+consumption, same ground-truth labels. These tests drive both paths over
+the same randomized request sets (paths, hours, noise on/off, access
+loss), passed to the batch as columns and to the scalar reference one
+request at a time, and compare with ``==`` on full observations and
+``repr`` (which also catches numpy scalar types leaking into records).
+The final test pins the whole campaign pipeline to a golden digest
+captured before the batch engine existed.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import pytest
 from repro.net.compiled import compile_world
 from repro.net.link import LinkNetwork
 from repro.net.tcp import BOTTLENECK_PRIORITY, TCPModel, classify_bottleneck
-from repro.obs import flowprobe
 from repro.platforms.campaign import CampaignConfig
 from repro.routing.forwarding import ForwardingPath
 from tests.scalar_reference import (
@@ -41,7 +39,7 @@ GOLDEN_CAMPAIGN_SHA = "909734efe186a546c49dd2b09d1f69bd262dbd28092910126268867f5
 GOLDEN_CAMPAIGN = CampaignConfig(seed=11, days=5, total_tests=1200)
 
 
-def _random_requests(study, seed, count, with_probe_keys=False):
+def _random_requests(study, seed, count):
     """Build a randomized request mix over real routed paths."""
     rng = random.Random(seed)
     clients = study.population.all_clients()
@@ -57,9 +55,6 @@ def _random_requests(study, seed, count, with_probe_keys=False):
         )
         if path is None:
             continue
-        probe_key = None
-        if with_probe_keys and rng.random() < 0.3:
-            probe_key = ("equiv-probe", len(requests))
         requests.append(
             ObserveRequest(
                 path=path,
@@ -68,7 +63,6 @@ def _random_requests(study, seed, count, with_probe_keys=False):
                 home_factor=rng.uniform(0.2, 1.3),
                 access_loss=rng.choice((0.0, 0.0, 0.0, 0.005, 0.02, -0.1)),
                 with_noise=rng.random() < 0.75,
-                probe_key=probe_key,
             )
         )
     assert len(requests) == count
@@ -117,26 +111,6 @@ class TestObserveBatchEquivalence:
             )))
 
         assert blocked == one_shot
-
-    def test_flow_probe_series_identical(self, small_study):
-        requests = _random_requests(small_study, seed=404, count=120, with_probe_keys=True)
-        assert any(r.probe_key is not None for r in requests)
-        try:
-            flowprobe.activate(flowprobe.FlowProbeRecorder(max_flows=256))
-            small_study.tcp.reseeded(11).observe_batch(*request_columns(requests))
-            batched_series = [s.to_dict() for s in flowprobe.active().series()]
-            flowprobe.deactivate()
-
-            flowprobe.activate(flowprobe.FlowProbeRecorder(max_flows=256))
-            scalar_model = small_study.tcp.reseeded(11)
-            for r in requests:
-                observe_request(scalar_model, r)
-            scalar_series = [s.to_dict() for s in flowprobe.active().series()]
-        finally:
-            flowprobe.deactivate()
-
-        assert batched_series == scalar_series
-        assert batched_series  # the probe actually recorded something
 
     def test_empty_batch(self, small_study):
         observed = small_study.tcp.reseeded(1).observe_batch(*request_columns([]))

@@ -9,8 +9,8 @@ transfer and the hop-by-hop traceroute walk. On the small study the two
 must produce the same records, lose the same traces to busy daemons and
 leave all four random streams (campaign, TCP noise, traceroute artifacts
 and daemon) in the same state — across selection policies, bursts,
-clients that do not measure upstream, flows that do not route, an active
-flow-probe recorder and any block size.
+clients that do not measure upstream, flows that do not route and any
+block size.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import dataclasses
 import pytest
 
 from repro.measurement.traceroute import TracerouteConfig, TracerouteEngine
-from repro.obs import flowprobe, metrics
+from repro.obs import metrics
 from repro.platforms import campaign as campaign_module
 from repro.platforms.campaign import CampaignConfig, run_ndt_campaign
 from tests import scalar_reference
@@ -65,11 +65,11 @@ def _run_blocked(study, config, forwarder, population, monkeypatch):
     return _Run(result, lost, campaign_rng, tcp, engine, study.mlab)
 
 
-def _run_reference(study, config, forwarder, population, probing=False):
+def _run_reference(study, config, forwarder, population):
     tcp = study.tcp.reseeded(config.seed)
     engine = TracerouteEngine(study.internet, forwarder, TracerouteConfig(seed=3))
     result, lost, campaign_rng = scalar_reference.run_ndt_campaign(
-        population, study.mlab, forwarder, tcp, config, engine, probing=probing
+        population, study.mlab, forwarder, tcp, config, engine
     )
     return _Run(result, lost, campaign_rng, tcp, engine, study.mlab)
 
@@ -85,14 +85,6 @@ def _assert_same(blocked: _Run, reference: _Run) -> None:
     assert blocked.next_trace_id == reference.next_trace_id
     assert blocked.daemon_state == reference.daemon_state
     assert blocked.daemons == reference.daemons
-
-
-@pytest.fixture(autouse=True)
-def _metrics_on():
-    previous = metrics.enabled_override()
-    metrics.set_enabled(True)
-    yield
-    metrics.set_enabled(previous)
 
 
 def _compare(study, config, monkeypatch, forwarder=None, population=None):
@@ -191,24 +183,3 @@ class TestCampaignMatchesScalarLoop:
         upload_dropped = [r for r in records if r.gt_client_asn in no_upload]
         assert upload_dropped and all(r.upload_bps == 0.0 for r in upload_dropped)
         assert any(r.upload_bps > 0 for r in records)
-
-    def test_flow_probe_series_identical(self, small_study, monkeypatch):
-        def recorder():
-            return flowprobe.FlowProbeRecorder(
-                selector=lambda key: key[2] % 5 == 0, max_flows=60
-            )
-
-        try:
-            flowprobe.activate(recorder())
-            blocked = _run_blocked(small_study, BASE, small_study.forwarder,
-                                   small_study.population, monkeypatch)
-            blocked_series = [s.to_dict() for s in flowprobe.active().series()]
-            flowprobe.activate(recorder())
-            reference = _run_reference(small_study, BASE, small_study.forwarder,
-                                       small_study.population, probing=True)
-            reference_series = [s.to_dict() for s in flowprobe.active().series()]
-        finally:
-            flowprobe.deactivate()
-        _assert_same(blocked, reference)
-        assert blocked_series == reference_series
-        assert len(blocked_series) == 60

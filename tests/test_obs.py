@@ -1,6 +1,5 @@
-"""The observability layer: metrics semantics, JSONL logs, span trees,
-flow probes, the run manifest — and the invariant that none of it can
-change a result.
+"""The observability layer: counter semantics, JSONL logs, span trees,
+the run manifest — and the invariant that none of it can change a result.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.coverage import collect_coverage_reports
-from repro.obs import flowprobe, manifest, metrics, trace
+from repro.core.pipeline import build_study
+from repro.obs import manifest, metrics, trace
 from repro.obs.log import JSONLFormatter, configure_logging, get_logger
 from repro.util import artifact_cache
 from repro.util.parallel import parallel_map, pool_stats, validate_jobs
@@ -29,17 +29,13 @@ REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
     """Every test starts and ends with a quiet observability layer."""
-    metrics.set_enabled(None)
     metrics.reset()
     trace.set_enabled(False)
     trace.reset()
-    flowprobe.deactivate()
     yield
-    metrics.set_enabled(None)
     metrics.reset()
     trace.set_enabled(False)
     trace.reset()
-    flowprobe.deactivate()
 
 
 class TestMetricsRegistry:
@@ -49,22 +45,6 @@ class TestMetricsRegistry:
         c.inc(4)
         assert c.value == 5
         assert metrics.snapshot()["t.counter"] == 5
-
-    def test_gauge_semantics(self):
-        g = metrics.gauge("t.gauge")
-        g.set(3)
-        g.set(1.5)
-        assert g.value == 1.5
-
-    def test_histogram_semantics(self):
-        h = metrics.histogram("t.hist")
-        for v in (1.0, 3.0, 2.0):
-            h.observe(v)
-        snap = metrics.snapshot()["t.hist"]
-        assert snap["count"] == 3
-        assert snap["min"] == 1.0
-        assert snap["max"] == 3.0
-        assert snap["mean"] == pytest.approx(2.0)
 
     def test_reset_keeps_object_identity(self):
         c = metrics.counter("t.reset")
@@ -77,38 +57,27 @@ class TestMetricsRegistry:
 
     def test_snapshot_skips_empty_metrics(self):
         metrics.counter("t.zero")
-        metrics.histogram("t.empty")
+        metrics.counter("t.one").inc()
         snap = metrics.snapshot()
         assert "t.zero" not in snap
-        assert "t.empty" not in snap
+        assert snap["t.one"] == 1
 
-    def test_disabled_mutations_are_noops(self):
-        c = metrics.counter("t.off")
-        h = metrics.histogram("t.off.h")
-        metrics.set_enabled(False)
-        c.inc(10)
-        h.observe(1.0)
-        metrics.set_enabled(None)
-        assert c.value == 0
-        assert h.count == 0
-
-    def test_merge_snapshot_adds_counters_and_combines_histograms(self):
+    def test_merge_snapshot_adds_counters(self):
         c = metrics.counter("t.merge.c")
-        h = metrics.histogram("t.merge.h")
         c.inc(2)
-        h.observe(5.0)
-        metrics.merge_snapshot(
-            {"t.merge.c": 3, "t.merge.h": {"count": 2, "total": 4.0, "min": 1.0, "max": 3.0}}
-        )
+        metrics.merge_snapshot({"t.merge.c": 3, "t.merge.new": 4})
         assert c.value == 5
-        assert h.count == 3
-        assert h.min == 1.0
-        assert h.max == 5.0
-
-    def test_kind_conflict_raises(self):
-        metrics.counter("t.kind")
-        with pytest.raises(TypeError):
-            metrics.gauge("t.kind")
+        assert metrics.counter("t.merge.new").value == 4
+        # A worker's snapshot survives a reset of the parent's registry:
+        # the same objects are refilled, and two workers' counts add.
+        worker_snap = metrics.snapshot()
+        metrics.reset()
+        assert c.value == 0
+        metrics.merge_snapshot(worker_snap)
+        metrics.merge_snapshot(worker_snap)
+        assert metrics.counter("t.merge.c") is c
+        assert c.value == 10
+        assert metrics.counter("t.merge.new").value == 8
 
 
 class TestJSONLLogging:
@@ -188,6 +157,10 @@ class TestSpanTree:
         # The determinism invariant: the merged span tree's shape (names
         # and nesting, in order) does not depend on --jobs.
         monkeypatch.setenv("REPRO_CACHE", "0")
+        # Warm the study memo: a test that cleared it earlier in the
+        # session would otherwise make only the first sweep's setup
+        # rebuild the world (a build subtree the second tree lacks).
+        build_study(small_study.config)
         shapes = {}
         for jobs in (1, 4):
             trace.set_enabled(True)
@@ -197,78 +170,8 @@ class TestSpanTree:
         assert shapes[1] == shapes[4]
         assert shapes[1], "tracing recorded no spans"
         assert shapes[1][0][0] == "coverage_sweep"
-
-
-class TestFlowProbe:
-    def test_synthesized_series_shape(self):
-        ticks = flowprobe.synthesize_ticks(
-            throughput_bps=20e6, rtt_min_ms=20.0, rtt_max_ms=45.0,
-            access_limited=False, duration_s=10.0, tick_s=0.1,
-        )
-        assert len(ticks) == 100
-        assert ticks[0].t_s == 0.0
-        assert ticks[0].cwnd_pkts == flowprobe.INITIAL_CWND
-        times = [t.t_s for t in ticks]
-        assert times == sorted(times)
-        for tick in ticks:
-            assert tick.cwnd_pkts >= 2.0
-            assert tick.ssthresh_pkts >= 2.0
-            assert 20.0 <= tick.srtt_ms <= 45.0
-            assert tick.throughput_bps > 0
-
-    def test_access_limited_flow_settles_at_window_and_max_rtt(self):
-        ticks = flowprobe.synthesize_ticks(
-            throughput_bps=50e6, rtt_min_ms=10.0, rtt_max_ms=35.0,
-            access_limited=True, duration_s=10.0, tick_s=0.1,
-        )
-        tail = ticks[-10:]
-        assert len({round(t.cwnd_pkts, 3) for t in tail}) == 1  # stable window
-        assert tail[-1].srtt_ms == pytest.approx(35.0)  # self-induced buffer
-
-    def test_loss_limited_flow_shows_sawtooth(self):
-        ticks = flowprobe.synthesize_ticks(
-            throughput_bps=5e6, rtt_min_ms=30.0, rtt_max_ms=40.0,
-            access_limited=False, duration_s=10.0, tick_s=0.1,
-        )
-        cwnds = [t.cwnd_pkts for t in ticks[20:]]
-        drops = sum(1 for a, b in zip(cwnds, cwnds[1:]) if b < a)
-        assert drops >= 1  # at least one multiplicative decrease
-
-    def test_recorder_selector_and_cap(self):
-        recorder = flowprobe.FlowProbeRecorder(
-            selector=lambda key: "yes" in str(key), max_flows=1
-        )
-        assert recorder.wants("yes-1")
-        assert not recorder.wants("no-1")
-        recorder.record("yes-1", throughput_bps=1e6, rtt_min_ms=10, rtt_max_ms=20,
-                        access_limited=True)
-        assert not recorder.wants("yes-2")  # cap reached
-        assert recorder.wants("yes-1")  # existing key may be re-recorded
-        assert [s.flow_id for s in recorder.series()] == ["yes-1"]
-
-    def test_probe_hook_records_without_changing_observation(self, small_study):
-        tcp = small_study.tcp.reseeded(4242)
-        client = small_study.population.all_clients()[0]
-        server = small_study.mlab.servers()[0]
-        path = small_study.forwarder.route_flow(
-            server.asn, server.city, client.asn, client.city, ("probe-test", 1)
-        )
-        assert path is not None
-        baseline = tcp.reseeded(4242).observe(
-            path, hour=20.0, access_rate_bps=client.plan_rate_bps, with_noise=False
-        )
-        recorder = flowprobe.activate(flowprobe.FlowProbeRecorder())
-        probed = tcp.reseeded(4242).observe(
-            path, hour=20.0, access_rate_bps=client.plan_rate_bps, with_noise=False,
-            probe_key="probe-test",
-        )
-        flowprobe.deactivate()
-        assert probed == baseline
-        series = recorder.series()
-        assert len(series) == 1
-        assert series[0].flow_id == "probe-test"
-        assert len(series[0].ticks) == 100
-        assert series[0].meta["bottleneck"] == baseline.bottleneck_kind
+        for jobs, tree_shape in shapes.items():
+            assert "pipeline.build_study" not in _span_names(tree_shape), jobs
 
 
 class TestManifest:
@@ -295,11 +198,18 @@ class TestManifest:
         assert payload["experiments"]["fig1"]["duration_s"] == 1.2
         assert payload["pool"]["workers"] == 2
         assert payload["trace"][0]["name"] == "suite"
-        assert payload["flow_probes"] == []
+        assert manifest.MANIFEST_SCHEMA == "repro.obs/run-manifest/v3"
+        assert not {"flow_probes", "timeseries", "profile"} & set(payload)
 
     def test_resource_usage_present_even_with_metrics_off(self):
-        metrics.set_enabled(False)
-        payload = self._payload()
+        # ``resource`` and ``phases`` come from getrusage and the span
+        # tree, so a run that counted nothing still records them.
+        payload = manifest.build_manifest(
+            ids=["fig1"], jobs=1, seed=7, config_digest="abc",
+            experiments={}, metrics_snapshot={}, pool_stats={},
+            span_tree=[{"name": "suite", "duration_s": 1.3}], wall_s=1.3,
+        )
+        assert payload["metrics"] == {}
         assert payload["resource"]["peak_rss_bytes"] > 0
         assert payload["resource"]["ru_utime_s"] >= 0.0
         assert payload["phases"] == [{"phase": "suite", "wall_s": 1.3}]
@@ -362,16 +272,14 @@ class TestManifest:
 
     def test_optional_sections_only_when_present(self):
         bare = self._payload()
-        assert "timeseries" not in bare and "profile" not in bare
+        assert "worldgen" not in bare
         rich = manifest.build_manifest(
             ids=["fig1"], jobs=1, seed=7, config_digest="abc",
             experiments={}, metrics_snapshot={}, pool_stats={},
             span_tree=[], wall_s=0.1,
-            timeseries_snapshot={"pipeline.tests_per_s": {"samples": [[1.0, 2.0]]}},
-            profile_summary={"hz": 100.0, "samples": 10},
+            worldgen={"peak_rss_mb": 80.0, "phases": {}},
         )
-        assert rich["timeseries"]["pipeline.tests_per_s"]["samples"]
-        assert rich["profile"]["samples"] == 10
+        assert rich["worldgen"]["peak_rss_mb"] == 80.0
 
     def test_write_creates_missing_directory(self, tmp_path):
         target = tmp_path / "deep" / "obs"
@@ -489,3 +397,12 @@ class TestCacheObservability:
 
 def _identity(x):
     return x
+
+
+def _span_names(shape_nodes) -> set[str]:
+    """Every span name in a :func:`trace.shape` skeleton, at any depth."""
+    names = set()
+    for name, children in shape_nodes:
+        names.add(name)
+        names |= _span_names(children)
+    return names

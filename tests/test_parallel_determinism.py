@@ -28,8 +28,7 @@ from repro.topology.geo import (
     propagation_delay_by_code_ms,
     propagation_delay_ms,
 )
-from repro.obs import metrics, serve, timeseries, trace
-from repro.obs.profiler import SamplingProfiler
+from repro.obs import trace
 from repro.util import artifact_cache
 from repro.util.parallel import (
     _WORKER_STATS_PROVIDERS,
@@ -182,7 +181,7 @@ class TestArtifactCache:
 
 
 class TestObservabilityTransparency:
-    """Tracing and metrics must be invisible in every result payload."""
+    """Tracing must be invisible in every result payload."""
 
     def test_campaign_identical_with_tracing_on(self, small_study):
         baseline = _run_campaign(small_study, small_study.forwarder)
@@ -197,47 +196,16 @@ class TestObservabilityTransparency:
         assert traced.traceroute_records == baseline.traceroute_records
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_coverage_identical_with_tracing_and_metrics_off(self, small_study, jobs):
-        with_obs = collect_coverage_reports(small_study, alexa_count=80, jobs=jobs)
+    def test_coverage_identical_with_tracing_on(self, small_study, jobs):
+        untraced = collect_coverage_reports(small_study, alexa_count=80, jobs=jobs)
         trace.set_enabled(True)
         trace.reset()
-        metrics.set_enabled(False)
         try:
-            # Tracing on but metrics forced off — the wrapper's other half.
-            without_metrics = collect_coverage_reports(
-                small_study, alexa_count=80, jobs=jobs
-            )
+            traced = collect_coverage_reports(small_study, alexa_count=80, jobs=jobs)
         finally:
-            metrics.set_enabled(None)
             trace.set_enabled(False)
             trace.reset()
-        assert without_metrics == with_obs
-
-    def test_campaign_identical_with_full_telemetry_stack(self, small_study):
-        """Metrics, the cadence sampler, the live ``/metrics`` endpoint and
-        the sampling profiler all running change no campaign record."""
-        campaign = CampaignConfig(seed=19, days=2, total_tests=400)
-        artifact_cache.set_enabled(False)  # both runs compute, neither replays
-        try:
-            metrics.set_enabled(False)
-            quiet = small_study.run_campaign(campaign)
-            metrics.set_enabled(True)
-            sampler = timeseries.default_sampler(interval_s=0.01)
-            server = serve.TelemetryServer(port=0, sampler=sampler).start()
-            profiler = SamplingProfiler(hz=200).start()
-            try:
-                observed = small_study.run_campaign(campaign)
-            finally:
-                profiler.stop()
-                server.stop()
-        finally:
-            artifact_cache.set_enabled(None)
-            metrics.set_enabled(None)
-            metrics.reset()
-            timeseries.reset()
-        assert profiler.samples > 0
-        assert observed.ndt_records == quiet.ndt_records
-        assert observed.traceroute_records == quiet.traceroute_records
+        assert traced == untraced
 
 
 class TestParallelMapPrimitive:

@@ -257,13 +257,6 @@ class TestRegistryRobustness:
         assert not result.passed
         assert "RuntimeError" in result.violations[0]
 
-    def test_validate_metrics_are_recorded(self, tiny_internet):
-        from repro.obs import metrics
-
-        before = metrics.counter("validate.contracts_run").value
-        validate_internet(tiny_internet)
-        assert metrics.counter("validate.contracts_run").value > before
-
 
 class TestInlineValidation:
     def test_build_study_runs_fast_contracts_when_enabled(self):

@@ -96,8 +96,8 @@ class TestBatchScalarEquivalence:
     def test_split_batches_equal_one_batch(self, small_study, routed_paths, data):
         requests = data.draw(observe_requests(routed_paths, max_size=10))
         cut = data.draw(st.integers(min_value=0, max_value=len(requests[0])))
-        head = [c[:cut] if c is not None else None for c in requests]
-        tail = [c[cut:] if c is not None else None for c in requests]
+        head = [c[:cut] for c in requests]
+        tail = [c[cut:] for c in requests]
 
         one_shot = observation_rows(small_study.tcp.reseeded(5).observe_batch(*requests))
         split_model = small_study.tcp.reseeded(5)
